@@ -177,6 +177,13 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
 }
 
 
+# Scans that fit a line to their grid need two distinct endpoints.
+_FITTED_RANGES = {
+    "scan-oc": ("omega_c_min_mhz", "omega_c_max_mhz"),
+    "lindblad-scan": ("gamma_min_mhz", "gamma_max_mhz"),
+}
+
+
 @dataclass
 class RunConfig:
     """A fully validated experiment configuration."""
@@ -240,6 +247,12 @@ def parse_config(text: str, experiment: str) -> RunConfig:
                 ) from exc
         elif spec.default is not None:
             values[key] = spec.default
+    if experiment in _FITTED_RANGES:
+        lo, hi = _FITTED_RANGES[experiment]
+        if values[lo] == values[hi]:
+            raise ConfigError(
+                f"{lo!r} equals {hi!r}; the scan's line fit needs distinct grid values"
+            )
     return RunConfig(experiment=experiment, values=values, provided=provided)
 
 

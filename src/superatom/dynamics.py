@@ -3,7 +3,8 @@
 Pure states under a constant Hamiltonian are propagated by spectral
 decomposition (no integrator error).  Density matrices evolve under
 rho' = -i[H, rho] + sum_k Gamma_k (L rho L^+ - 1/2 {L^+L, rho}) with an
-adaptive embedded Runge-Kutta integrator on the vectorized density matrix.
+adaptive embedded Runge-Kutta integrator on the vectorized density matrix;
+the generator is built once per run as a sparse superoperator.
 Positivity is monitored, not enforced: a violation beyond tolerance fails
 the run instead of being silently projected away.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
 
 from .basis import (
@@ -36,6 +38,8 @@ NORM_TOL = 1e-10
 TRACE_TOL = 1e-7
 HERM_TOL = 1e-8
 POSITIVITY_TOL = 1e-6
+LINDBLAD_RTOL = 1e-8  # DOP853 tolerances of the master equation
+LINDBLAD_ATOL = 1e-10
 
 
 class NumericalFailure(RuntimeError):
@@ -149,13 +153,38 @@ def lindblad_operators(
     return ops
 
 
+def liouvillian(
+    h: np.ndarray, jumps: list[tuple[float, np.ndarray]]
+) -> sparse.csr_array:
+    """Master-equation generator as a sparse superoperator on row-major vec(rho).
+
+    Row-major vec gives vec(A rho B) = (A kron B^T) vec(rho).  With
+    K = sum_k Gamma_k L_k^+ L_k and A = -iH - K/2, the master equation
+    rho' = A rho + rho A^+ + sum_k Gamma_k L_k rho L_k^+ becomes
+    vec(rho)' = (A kron I + I kron conj(A) + sum_k Gamma_k L_k kron conj(L_k))
+    vec(rho).
+    """
+    dim = h.shape[0]
+    eye = sparse.eye_array(dim, dtype=complex, format="csr")
+    k = sparse.csr_array((dim, dim), dtype=complex)
+    gen = sparse.csr_array((dim * dim, dim * dim), dtype=complex)
+    for rate, op in jumps:
+        l = sparse.csr_array(op, dtype=complex)
+        k = k + rate * (l.conj().T @ l)
+        gen = gen + rate * sparse.kron(l, l.conj(), format="csr")
+    a = -1j * sparse.csr_array(h, dtype=complex) - 0.5 * k
+    return (
+        gen
+        + sparse.kron(a, eye, format="csr")
+        + sparse.kron(eye, a.conj(), format="csr")
+    )
+
+
 def evolve_lindblad(
     h: np.ndarray,
     jumps: list[tuple[float, np.ndarray]],
     rho0: np.ndarray,
     times,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
     max_dim: int | None = None,
 ) -> np.ndarray:
     """Integrate the master equation; returns (T, dim, dim) density matrices.
@@ -174,22 +203,10 @@ def evolve_lindblad(
     if rho0.shape != (dim, dim):
         raise BasisError(f"rho0 shape {rho0.shape} incompatible with H {h.shape}")
 
-    # Precompute the superoperator pieces acting on rho as a matrix.
-    h_c = h.astype(complex)
-    jump_terms = []
-    anticomm = np.zeros((dim, dim), dtype=complex)
-    for rate, op in jumps:
-        l = op.astype(complex)
-        jump_terms.append((rate, l, l.conj().T))
-        anticomm += rate * (l.conj().T @ l)
+    gen = liouvillian(h, jumps)
 
     def rhs(_t, y):
-        rho = y.reshape(dim, dim)
-        drho = -1j * (h_c @ rho - rho @ h_c)
-        drho -= 0.5 * (anticomm @ rho + rho @ anticomm)
-        for rate, l, ld in jump_terms:
-            drho += rate * (l @ rho @ ld)
-        return drho.ravel()
+        return gen @ y
 
     t0, t1 = 0.0, float(times[-1])
     sol = solve_ivp(
@@ -198,8 +215,8 @@ def evolve_lindblad(
         rho0.astype(complex).ravel(),
         t_eval=times,
         method="DOP853",
-        rtol=rtol,
-        atol=atol,
+        rtol=LINDBLAD_RTOL,
+        atol=LINDBLAD_ATOL,
     )
     if not sol.success:
         raise NumericalFailure(f"master-equation integration failed: {sol.message}")

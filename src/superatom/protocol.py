@@ -16,7 +16,9 @@ import numpy as np
 from scipy.stats import poisson
 
 from .basis import (
+    N_MAX_PRODUCT_DENSITY,
     BasisError,
+    CapacityError,
     DickeIndex,
     EnsembleSpec,
     dicke_position,
@@ -26,6 +28,7 @@ from .basis import (
 )
 from .dynamics import (
     DecoherenceRates,
+    NumericalFailure,
     Observables,
     Trajectory,
     evolve_lindblad,
@@ -179,6 +182,11 @@ def run_protocol(
     """Propagate |G> for the pulse time under the chosen model."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
+    if model == "lindblad" and cfg.spec.n_atoms > N_MAX_PRODUCT_DENSITY:
+        raise CapacityError(
+            f"product-basis density matrix for N={cfg.spec.n_atoms} exceeds "
+            f"limit {N_MAX_PRODUCT_DENSITY}"
+        )
     res = resolve_protocol(cfg)
     spec, params = res.spec, res.params
     times = np.linspace(0.0, res.pulse_time, n_times)[1:]
@@ -314,8 +322,12 @@ class ScanResult:
 
 
 def _parabolic_refine(xs, ys, k):
-    """Vertex of the parabola through points k-1, k, k+1 (clamped at edges)."""
-    if k == 0 or k == len(xs) - 1:
+    """Vertex of the parabola through points k-1, k, k+1.
+
+    The grid point itself is returned at an edge or when a neighbour's
+    value is undefined (None).
+    """
+    if k == 0 or k == len(xs) - 1 or ys[k - 1] is None or ys[k + 1] is None:
         return xs[k], ys[k]
     x0, x1, x2 = xs[k - 1], xs[k], xs[k + 1]
     y0, y1, y2 = ys[k - 1], ys[k], ys[k + 1]
@@ -356,7 +368,10 @@ def scan_delta_c(
     ]
     xs = [row.x for row in rows]
     ys = [row.infidelity for row in rows]
-    k = int(np.argmin(ys))
+    defined = [i for i, y in enumerate(ys) if y is not None]
+    if not defined:
+        raise NumericalFailure("infidelity undefined at every scan point")
+    k = min(defined, key=lambda i: ys[i])
     x_min, y_min = _parabolic_refine(xs, ys, k)
     return ScanResult(
         "delta_c_over_omega_c",

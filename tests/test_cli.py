@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,25 @@ class TestConfigBuilders:
         assert cfg.ramp_field_max == 1e5
         assert cfg.ramp_time == 300.0
         assert cfg.n_atoms == 100
+
+    @pytest.mark.parametrize(
+        "experiment,text",
+        [
+            (
+                "lindblad-scan",
+                "n_atoms = 3\nomega_c_mhz = 100\nomega_eff_target_mhz = 0.1\n"
+                "channel = gamma_e\ngamma_min_mhz = 0.001\ngamma_max_mhz = 0.001\n",
+            ),
+            (
+                "scan-oc",
+                "n_atoms = 3\nomega_eff_target_mhz = 0.1\n"
+                "omega_c_min_mhz = 50\nomega_c_max_mhz = 50\n",
+            ),
+        ],
+    )
+    def test_degenerate_fit_grid_rejected(self, experiment, text):
+        with pytest.raises(ConfigError, match="distinct grid values"):
+            parse_config(text, experiment)
 
     def test_lindblad_rates_converted(self):
         text = RABI_CFG + "gamma_e_mhz = 0.001\nmodel = lindblad\n"
@@ -197,6 +217,24 @@ class TestMainEntry:
         text = RABI_CFG.replace("n_atoms = 4", "n_atoms = 10") + "model = full\n"
         code, _ = run_cli(tmp_path, "rabi", text)
         assert code == 3
+
+    def test_density_matrix_capacity_exit_code(self, tmp_path):
+        """N=5 exceeds the product-space density-matrix limit (N <= 4)."""
+        text = RABI_CFG.replace("n_atoms = 4", "n_atoms = 5")
+        text += "gamma_e_mhz = 0.001\n"
+        start = time.perf_counter()
+        code, _ = run_cli(tmp_path, "rabi", text)
+        assert code == 3
+        assert time.perf_counter() - start < 10.0  # refused before integrating
+
+    def test_scan_dc_all_points_undefined_exit_code(self, tmp_path):
+        text = (
+            "n_atoms = 3\nomega_c_mhz = 20\nomega_eff_target_mhz = 0.1\n"
+            "ratio_min = -1.0\nratio_max = -0.4\nn_points = 4\n"
+            "pulse_time_us = 1e-9\n"
+        )
+        code, _ = run_cli(tmp_path, "scan-dc", text)
+        assert code == 4
 
     def test_jc_demo(self, tmp_path):
         text = (

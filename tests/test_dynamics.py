@@ -17,10 +17,15 @@ from superatom.dynamics import (
     Trajectory,
     evolve_lindblad,
     lindblad_operators,
+    liouvillian,
     observables,
     propagate_pure,
 )
-from superatom.hamiltonians import LaserParams, build_product_hamiltonian
+from superatom.hamiltonians import (
+    LaserParams,
+    build_dicke_hamiltonian,
+    build_product_hamiltonian,
+)
 
 
 class TestPurePropagation:
@@ -98,6 +103,48 @@ class TestLindbladOperators:
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             DecoherenceRates(gamma_e=-0.1)
+
+
+class TestLiouvillian:
+    """The sparse generator against the explicit master-equation formula."""
+
+    @staticmethod
+    def _explicit(h, jumps, rho):
+        drho = -1j * (h @ rho - rho @ h)
+        for rate, l in jumps:
+            ld = l.conj().T
+            drho += rate * (l @ rho @ ld - 0.5 * (ld @ l @ rho + rho @ ld @ l))
+        return drho
+
+    @staticmethod
+    def _random_density(dim, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = a @ a.conj().T
+        return rho / np.trace(rho).real
+
+    def _check(self, h, jumps, seed):
+        dim = h.shape[0]
+        rho = self._random_density(dim, seed)
+        got = (liouvillian(h, jumps) @ rho.ravel()).reshape(dim, dim)
+        assert np.max(np.abs(got - self._explicit(h, jumps, rho))) < 1e-12
+
+    @pytest.mark.parametrize("n_atoms", [2, 3])
+    def test_product_basis_all_channels(self, n_atoms):
+        spec = EnsembleSpec(n_atoms)
+        h = build_product_hamiltonian(LaserParams(1.5, 4.0, 0.7, -2.0), spec)
+        rates = DecoherenceRates(
+            gamma_e=0.6, gamma_r=0.3, gamma_d=0.2, gamma_coll=0.4
+        )
+        jumps = lindblad_operators(rates, spec, "product")
+        assert len(jumps) == 3 * n_atoms + 2 * n_atoms + 1
+        self._check(h, jumps, seed=n_atoms)
+
+    def test_dicke_basis_collective_dephasing(self):
+        spec = EnsembleSpec(4)
+        h = build_dicke_hamiltonian(LaserParams(1.5, 4.0, 0.7, -2.0), spec)
+        jumps = lindblad_operators(DecoherenceRates(gamma_coll=0.5), spec, "dicke")
+        self._check(h, jumps, seed=11)
 
 
 class TestLindbladEvolution:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from superatom import protocol
 from superatom.basis import EnsembleSpec, enumerate_dicke
 from superatom.dynamics import DecoherenceRates
 from superatom.hamiltonians import (
@@ -204,6 +205,26 @@ class TestScans:
         assert -1.1 < scan.minimum["delta_c_over_omega_c"] < -0.45
         row_half = min(scan.rows, key=lambda r: abs(r.x + 0.5))
         assert row_half.success == pytest.approx(2 / 3, abs=0.05)
+
+    def test_scan_delta_c_skips_undefined_points(self, monkeypatch):
+        """The minimum is taken over defined points; an undefined neighbour
+        stops the parabolic refinement at the grid point."""
+        infids = [None, 0.3, 0.1, None, 0.05, 0.2]
+
+        def fake_runs(cfgs, model, n_times, n_workers=1):
+            return [
+                protocol.ProtocolResult(
+                    success_probability=0.5, infidelity=y, trajectory=None,
+                    model_tag=model, resolved=None, final_observables=None,
+                )
+                for y in infids
+            ]
+
+        monkeypatch.setattr(protocol, "_map_runs", fake_runs)
+        grid = np.linspace(-1.0, -0.5, 6)
+        scan = scan_delta_c(canonical_config(), grid)
+        assert scan.minimum["delta_c_over_omega_c"] == pytest.approx(grid[4])
+        assert scan.minimum["infidelity"] == 0.05
 
     def test_scan_omega_c_monotone_trend(self):
         cfg = canonical_config()
