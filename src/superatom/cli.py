@@ -2,6 +2,9 @@
 
 Usage: superatom-sim <experiment> --config FILE --out DIR [--workers K] [--seed S]
 
+--workers (default $SUPERATOM_WORKERS, else 1) sizes the process pool of
+the scans; ion-mc runs in one process and ignores it.
+
 Exit codes: 0 success, 2 configuration error, 3 capacity exceeded,
 4 numerical failure.  Outputs are deterministic for identical inputs
 apart from the timestamp field in summary.json.
@@ -245,11 +248,11 @@ def _run_lindblad_scan(rc, out: Path, workers: int) -> None:
     )
 
 
-def _run_ion_mc(rc, out: Path, workers: int, seed: int | None) -> None:
+def _run_ion_mc(rc, out: Path, seed: int | None) -> None:
     cfg = ion_config(rc)
     if seed is not None:
         cfg = replace(cfg, rng_seed=seed)
-    result = simulate_escape(cfg, n_workers=workers)
+    result = simulate_escape(cfg)
     thresholds = np.geomspace(1e-4, 10.0, 26)
     write_csv(
         out / "scan.csv",
@@ -305,6 +308,20 @@ def _run_jc_demo(rc, out: Path, workers: int) -> None:
     )
 
 
+def _worker_count(flag: str | None) -> int:
+    """Pool size from --workers, else SUPERATOM_WORKERS, else 1; must be >= 1."""
+    source, raw = "--workers", flag
+    if raw is None:
+        source, raw = "SUPERATOM_WORKERS", os.environ.get("SUPERATOM_WORKERS", "1")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"{source} must be an integer >= 1, got {raw!r}")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="superatom-sim",
@@ -313,15 +330,12 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("SUPERATOM_WORKERS", "1")),
-    )
+    parser.add_argument("--workers")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
+        workers = _worker_count(args.workers)
         try:
             text = args.config.read_text()
         except OSError as exc:
@@ -329,19 +343,19 @@ def main(argv=None) -> int:
         rc = parse_config(text, args.experiment)
         args.out.mkdir(parents=True, exist_ok=True)
         if args.experiment == "rabi":
-            _run_rabi(rc, args.out, args.workers)
+            _run_rabi(rc, args.out, workers)
         elif args.experiment == "scan-dc":
-            _run_scan_dc(rc, args.out, args.workers)
+            _run_scan_dc(rc, args.out, workers)
         elif args.experiment == "scan-oc":
-            _run_scan_oc(rc, args.out, args.workers)
+            _run_scan_oc(rc, args.out, workers)
         elif args.experiment == "scan-n":
-            _run_scan_n(rc, args.out, args.workers)
+            _run_scan_n(rc, args.out, workers)
         elif args.experiment == "lindblad-scan":
-            _run_lindblad_scan(rc, args.out, args.workers)
+            _run_lindblad_scan(rc, args.out, workers)
         elif args.experiment == "ion-mc":
-            _run_ion_mc(rc, args.out, args.workers, args.seed)
+            _run_ion_mc(rc, args.out, args.seed)
         else:
-            _run_jc_demo(rc, args.out, args.workers)
+            _run_jc_demo(rc, args.out, workers)
     except (ConfigError, UnsupportedRegimeError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,7 @@ Internally SI units (m, s, V/m); the config speaks ns / um.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,16 +143,38 @@ def _field_at(t: float, cfg: IonEscapeConfig) -> float:
     return cfg.ramp_field_max * t / tau
 
 
-def _single_trajectory(cfg: IonEscapeConfig, index: int) -> dict:
-    """One escape trajectory with its own counter-based RNG stream."""
-    rng = np.random.default_rng([cfg.rng_seed, index])
+def _initial_state(cfg: IonEscapeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Spectator clouds (T, A, 3) and ion start points (T, 3), in m.
+
+    Trajectory i draws from its own counter-based stream
+    default_rng([rng_seed, i]): spectators first, then the start point, so
+    each trajectory depends only on (rng_seed, i).
+    """
     side = cfg.trap_volume ** (1.0 / 3.0) * 1e-6  # m, cubic sampling volume
-    spectators = rng.uniform(-side / 2, side / 2, size=(cfg.n_atoms - 1, 3))
-    if cfg.ion_start == "uniform":
-        pos = rng.uniform(-side / 2, side / 2, size=3)
-    else:
-        pos = np.zeros(3)
+    n_traj, n_spec = cfg.n_trajectories, cfg.n_atoms - 1
+    spectators = np.empty((n_traj, n_spec, 3))
+    start = np.zeros((n_traj, 3))
+    for i in range(n_traj):
+        rng = np.random.default_rng([cfg.rng_seed, i])
+        spectators[i] = rng.uniform(-side / 2, side / 2, size=(n_spec, 3))
+        if cfg.ion_start == "uniform":
+            start[i] = rng.uniform(-side / 2, side / 2, size=3)
+    return spectators, start
+
+
+def simulate_escape(cfg: IonEscapeConfig) -> EscapeResult:
+    """Run the Monte Carlo with every trajectory stepped in lock-step.
+
+    The ion feels only the ramp field, a function of t alone, so all
+    trajectories share t, the step sequence and the acceleration; only the
+    start point and the spectator cloud differ.  The live arrays hold the
+    trajectories that have not escaped yet; each one is frozen and dropped
+    at the step it escapes.  Results are deterministic for a given seed and
+    trajectory i is the same whatever n_trajectories is.
+    """
+    spectators, pos = _initial_state(cfg)
     start = pos.copy()
+    n_traj, n_spec = cfg.n_trajectories, cfg.n_atoms - 1
 
     m = cfg.ion_mass * AMU
     dt = cfg.time_step * 1e-9
@@ -162,64 +183,64 @@ def _single_trajectory(cfg: IonEscapeConfig, index: int) -> dict:
     phase_pref = cfg.differential_polarizability / (2.0 * HBAR)
     e_sq_pref = (K_COULOMB * E_CHARGE) ** 2  # E_ion^2 = (kq)^2 / r^4
 
-    vel = np.zeros(3)
-    t = 0.0
-    work = 0.0
-    phases = np.zeros(cfg.n_atoms - 1)
-    collided = np.zeros(cfg.n_atoms - 1, dtype=bool)
+    # final per-trajectory values, filled in as trajectories escape
+    times = np.full(n_traj, NO_ESCAPE)
+    phases = np.zeros((n_traj, n_spec))
+    collided = np.zeros((n_traj, n_spec), dtype=bool)
+    end_vel = np.zeros((n_traj, 3))
+    work = np.zeros(n_traj)
+
+    # live state: row k is trajectory live[k]
+    live = np.arange(n_traj)
+    vel = np.zeros((n_traj, 3))
+    live_work = np.zeros(n_traj)
+    live_phases = np.zeros((n_traj, n_spec))
+    live_collided = np.zeros((n_traj, n_spec), dtype=bool)
 
     def coulomb_rate(p):
-        d2 = ((spectators - p) ** 2).sum(axis=1)
-        collided[d2 < r_soft**2] = True
+        d2 = ((spectators - p[:, None, :]) ** 2).sum(axis=2)
+        live_collided[d2 < r_soft**2] = True
         return e_sq_pref / np.maximum(d2, r_soft**2) ** 2
 
+    def freeze(rows):
+        idx = live[rows]
+        phases[idx] = live_phases[rows]
+        collided[idx] = live_collided[rows]
+        end_vel[idx] = vel[rows]
+        work[idx] = live_work[rows]
+
+    t = 0.0
     rate = coulomb_rate(pos)
     accel = np.array([0.0, 0.0, E_CHARGE * _field_at(t, cfg) / m])
-    escape_t = NO_ESCAPE
     horizon = cfg.horizon * 1e-9
-    while t < horizon:
+    while t < horizon and live.size:
         new_pos = pos + vel * dt + 0.5 * accel * dt**2
         new_accel = np.array([0.0, 0.0, E_CHARGE * _field_at(t + dt, cfg) / m])
-        new_vel = vel + 0.5 * (accel + new_accel) * dt
-        work += E_CHARGE * 0.5 * (
+        vel = vel + 0.5 * (accel + new_accel) * dt
+        live_work += E_CHARGE * 0.5 * (
             _field_at(t, cfg) + _field_at(t + dt, cfg)
-        ) * (new_pos[2] - pos[2])
+        ) * (new_pos[:, 2] - pos[:, 2])
         new_rate = coulomb_rate(new_pos)
-        phases += phase_pref * 0.5 * (rate + new_rate) * dt
-        pos, vel, accel, rate = new_pos, new_vel, new_accel, new_rate
+        live_phases += phase_pref * 0.5 * (rate + new_rate) * dt
+        pos, accel, rate = new_pos, new_accel, new_rate
         t += dt
-        if np.linalg.norm(pos - start) >= d_escape:
-            escape_t = t
-            break
+        escaped = np.linalg.norm(pos - start, axis=1) >= d_escape
+        if escaped.any():
+            times[live[escaped]] = t * 1e9
+            freeze(escaped)
+            keep = ~escaped
+            live, pos, start, vel = live[keep], pos[keep], start[keep], vel[keep]
+            spectators, rate = spectators[keep], rate[keep]
+            live_work, live_phases = live_work[keep], live_phases[keep]
+            live_collided = live_collided[keep]
+    freeze(slice(None))  # trajectories still inside at the horizon
 
-    kinetic = 0.5 * m * float(vel @ vel)
-    energy_err = abs(kinetic - work) / work if work > 0 else 0.0
+    kinetic = 0.5 * m * np.einsum("ij,ij->i", end_vel, end_vel)
+    energy_err = np.zeros(n_traj)
+    worked = work > 0
+    energy_err[worked] = np.abs(kinetic[worked] - work[worked]) / work[worked]
     phases[collided] = np.inf  # close collisions count as significant
-    return {
-        "escape_time": escape_t * 1e9 if np.isfinite(escape_t) else NO_ESCAPE,
-        "phases": phases,
-        "n_collisions": int(collided.sum()),
-        "energy_error": energy_err,
-    }
-
-
-def _traj_job(args):
-    cfg, index = args
-    return index, _single_trajectory(cfg, index)
-
-
-def simulate_escape(cfg: IonEscapeConfig, n_workers: int = 1) -> EscapeResult:
-    """Run the Monte Carlo; deterministic for a given seed at any worker count."""
-    jobs = [(cfg, i) for i in range(cfg.n_trajectories)]
-    if n_workers > 1 and cfg.n_trajectories > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = dict(pool.map(_traj_job, jobs, chunksize=8))
-        outs = [results[i] for i in range(cfg.n_trajectories)]
-    else:
-        outs = [_single_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
-
-    times = np.array([o["escape_time"] for o in outs])
-    phases = np.concatenate([o["phases"] for o in outs])
+    per_atom = phases.ravel()
     finite = times[np.isfinite(times)]
     if finite.size == 0:
         esc, esc_std = NO_ESCAPE, 0.0
@@ -228,9 +249,9 @@ def simulate_escape(cfg: IonEscapeConfig, n_workers: int = 1) -> EscapeResult:
     return EscapeResult(
         escape_time=esc,
         escape_time_std=esc_std,
-        per_atom_phases=phases,
-        fraction_significant=float(np.mean(phases > cfg.phase_threshold)),
+        per_atom_phases=per_atom,
+        fraction_significant=float(np.mean(per_atom > cfg.phase_threshold)),
         external_field_phase=ramp_field_phase(cfg, esc if np.isfinite(esc) else None),
-        n_close_collisions=sum(o["n_collisions"] for o in outs),
-        energy_balance_error=max(o["energy_error"] for o in outs),
+        n_close_collisions=int(collided.sum()),
+        energy_balance_error=float(energy_err.max()),
     )

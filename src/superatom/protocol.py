@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import pi, sqrt
+from math import log, pi, sqrt
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln
 
 from .basis import (
     N_MAX_PRODUCT_DENSITY,
@@ -397,7 +397,8 @@ class PoissonEnsemble:
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         ns = np.arange(self.n_min, self.n_max + 1)
-        w = poisson.pmf(ns, self.mean_atoms)
+        lam = self.mean_atoms
+        w = np.exp(ns * log(lam) - lam - gammaln(ns + 1))  # Poisson pmf
         if w.sum() < 1.0 - 1e-6:
             raise ValueError("truncation window covers < 1 - 1e-6 of mass")
         return ns, w / w.sum()

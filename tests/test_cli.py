@@ -19,6 +19,11 @@ omega_p_mhz = 0.7
 delta_c_over_omega_c = -0.5
 """
 
+SCAN_DC_CFG = (
+    "n_atoms = 3\nomega_c_mhz = 20\nomega_eff_target_mhz = 0.1\n"
+    "ratio_min = -1.0\nratio_max = -0.4\nn_points = 4\n"
+)
+
 
 class TestParsing:
     def test_minimal_rabi(self):
@@ -235,6 +240,38 @@ class TestMainEntry:
         )
         code, _ = run_cli(tmp_path, "scan-dc", text)
         assert code == 4
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("superatom.protocol.ProcessPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_bad_workers_flag_exit_code(self, tmp_path, capsys, no_pool, workers):
+        code, out = run_cli(
+            tmp_path, "scan-dc", SCAN_DC_CFG, extra=["--workers", workers]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: --workers must be an integer >= 1, "
+                       f"got '{workers}'"]
+        assert not out.exists()
+
+    def test_bad_workers_env_exit_code(self, tmp_path, capsys, monkeypatch, no_pool):
+        monkeypatch.setenv("SUPERATOM_WORKERS", "abc")
+        code, out = run_cli(tmp_path, "scan-dc", SCAN_DC_CFG)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "SUPERATOM_WORKERS" in err[0]
+        assert not out.exists()
+
+    def test_workers_flag_overrides_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SUPERATOM_WORKERS", "abc")
+        code, _ = run_cli(tmp_path, "ion-mc", "n_trajectories = 2\nn_atoms = 3\n",
+                          extra=["--workers", "1"])
+        assert code == 0
 
     def test_jc_demo(self, tmp_path):
         text = (

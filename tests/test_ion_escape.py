@@ -4,9 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superatom.ion_escape import (
+    AMU,
+    E_CHARGE,
+    HBAR,
+    K_COULOMB,
     NO_ESCAPE,
     EscapeResult,
     IonEscapeConfig,
+    _field_at,
     ballistic_escape_time,
     ramp_field_phase,
     simulate_escape,
@@ -121,17 +126,100 @@ class TestReproducibility:
         assert np.array_equal(a.per_atom_phases, b.per_atom_phases)
         assert a.escape_time == b.escape_time
 
-    def test_worker_count_invariant(self):
-        cfg = IonEscapeConfig(n_trajectories=6, n_atoms=10)
-        a = simulate_escape(cfg, n_workers=1)
-        b = simulate_escape(cfg, n_workers=3)
-        assert np.array_equal(a.per_atom_phases, b.per_atom_phases)
-        assert a.fraction_significant == b.fraction_significant
+    def test_trajectory_prefix_invariant(self):
+        """Trajectory i depends only on (seed, i), not on how many run."""
+        n_atoms = 10
+        a = simulate_escape(IonEscapeConfig(n_trajectories=8, n_atoms=n_atoms))
+        b = simulate_escape(IonEscapeConfig(n_trajectories=3, n_atoms=n_atoms))
+        k = 3 * (n_atoms - 1)
+        assert np.array_equal(a.per_atom_phases[:k], b.per_atom_phases)
 
     def test_different_seed_differs(self):
         a = simulate_escape(IonEscapeConfig(n_trajectories=4, n_atoms=10, rng_seed=0))
         b = simulate_escape(IonEscapeConfig(n_trajectories=4, n_atoms=10, rng_seed=1))
         assert not np.array_equal(a.per_atom_phases, b.per_atom_phases)
+
+
+def _reference_trajectory(cfg: IonEscapeConfig, index: int):
+    """One trajectory on its own, velocity-Verlet in a plain loop."""
+    rng = np.random.default_rng([cfg.rng_seed, index])
+    side = cfg.trap_volume ** (1.0 / 3.0) * 1e-6
+    spectators = rng.uniform(-side / 2, side / 2, size=(cfg.n_atoms - 1, 3))
+    if cfg.ion_start == "uniform":
+        pos = rng.uniform(-side / 2, side / 2, size=3)
+    else:
+        pos = np.zeros(3)
+    start = pos.copy()
+    m = cfg.ion_mass * AMU
+    dt = cfg.time_step * 1e-9
+    r_soft = cfg.softening_radius * 1e-6
+    phase_pref = cfg.differential_polarizability / (2.0 * HBAR)
+    vel = np.zeros(3)
+    t = work = 0.0
+    phases = np.zeros(cfg.n_atoms - 1)
+    collided = np.zeros(cfg.n_atoms - 1, dtype=bool)
+
+    def coulomb_rate(p):
+        d2 = ((spectators - p) ** 2).sum(axis=1)
+        collided[d2 < r_soft**2] = True
+        return (K_COULOMB * E_CHARGE) ** 2 / np.maximum(d2, r_soft**2) ** 2
+
+    rate = coulomb_rate(pos)
+    accel = np.array([0.0, 0.0, E_CHARGE * _field_at(t, cfg) / m])
+    escape_t = NO_ESCAPE
+    while t < cfg.horizon * 1e-9:
+        new_pos = pos + vel * dt + 0.5 * accel * dt**2
+        new_accel = np.array([0.0, 0.0, E_CHARGE * _field_at(t + dt, cfg) / m])
+        vel = vel + 0.5 * (accel + new_accel) * dt
+        work += E_CHARGE * 0.5 * (
+            _field_at(t, cfg) + _field_at(t + dt, cfg)
+        ) * (new_pos[2] - pos[2])
+        new_rate = coulomb_rate(new_pos)
+        phases += phase_pref * 0.5 * (rate + new_rate) * dt
+        pos, accel, rate = new_pos, new_accel, new_rate
+        t += dt
+        if np.linalg.norm(pos - start) >= cfg.trap_diameter * 1e-6:
+            escape_t = t * 1e9
+            break
+    kinetic = 0.5 * m * float(vel @ vel)
+    phases[collided] = np.inf
+    err = abs(kinetic - work) / work if work > 0 else 0.0
+    return escape_t, phases, int(collided.sum()), err
+
+
+class TestLockStepMatchesReference:
+    """Stepping all trajectories together changes no arithmetic."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {},
+            {"ion_start": "center", "rng_seed": 7},
+            {"ramp_time": 5.0},  # escape after the ramp, at full field
+            {"softening_radius": 0.2},  # close collisions
+            {"max_time": 20.0},  # horizon before escape
+            # an escape distance on a step boundary: trajectories escape at
+            # two different steps, so some freeze while others run on
+            {"trap_diameter": 0.0627520132884533},
+        ],
+    )
+    def test_bit_identical(self, kw):
+        cfg = IonEscapeConfig(n_trajectories=12, n_atoms=20, **kw)
+        refs = [_reference_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
+        times = np.array([r[0] for r in refs])
+        res = simulate_escape(cfg)
+        assert np.array_equal(res.per_atom_phases, np.concatenate([r[1] for r in refs]))
+        finite = times[np.isfinite(times)]
+        assert res.escape_time == (finite.mean() if finite.size else NO_ESCAPE)
+        assert res.escape_time_std == (finite.std() if finite.size else 0.0)
+        assert res.n_close_collisions == sum(r[2] for r in refs)
+        assert res.energy_balance_error == max(r[3] for r in refs)
+
+    def test_step_boundary_case_staggers_escapes(self):
+        cfg = IonEscapeConfig(n_trajectories=12, n_atoms=20,
+                              trap_diameter=0.0627520132884533)
+        times = {_reference_trajectory(cfg, i)[0] for i in range(12)}
+        assert len(times) == 2
 
 
 class TestValidation:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -268,6 +271,20 @@ class TestPoisson:
     def test_narrow_window_rejected(self):
         with pytest.raises(ValueError):
             PoissonEnsemble(100.0, 99, 101).weights()
+
+    @pytest.mark.parametrize("lam", [1.0, 2.5, 30.0, 100.0, 300.0])
+    def test_weights_match_scipy_pmf(self, lam):
+        from scipy.stats import poisson
+
+        ns, ws = PoissonEnsemble(lam, 0, int(lam + 10 * lam**0.5 + 10)).weights()
+        want = poisson.pmf(ns, lam)
+        np.testing.assert_allclose(ws, want / want.sum(), rtol=0, atol=1e-14)
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        code = "import sys, superatom.cli; print('scipy.stats' in sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.strip() == "False"
 
     def test_averaging_constant_returns_constant(self):
         _, ws = PoissonEnsemble.from_mean(50.0).weights()
