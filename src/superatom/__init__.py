@@ -33,7 +33,6 @@ from .hamiltonians import (
     LaserParams,
     UnsupportedRegimeError,
     build_dicke_hamiltonian,
-    build_jc_hamiltonian,
     build_product_hamiltonian,
     build_restricted_hamiltonian,
     dressed_block,

@@ -35,13 +35,10 @@ class EnsembleSpec:
     """Perfectly blockaded ensemble of n_atoms three-level atoms."""
 
     n_atoms: int
-    perfect_blockade: bool = True
 
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if not self.perfect_blockade:
-            raise ValueError("only the perfectly blockaded ensemble is supported")
 
 
 @dataclass(frozen=True)
@@ -118,20 +115,22 @@ def enumerate_dicke(spec: EnsembleSpec) -> list[DickeIndex]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _dicke_position(n_atoms: int) -> dict:
-    return {
-        (idx.j, idx.s): k
-        for k, idx in enumerate(enumerate_dicke(EnsembleSpec(n_atoms)))
-    }
+def dicke_labels(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(j, s) of every Dicke state as integer arrays, in the Dicke ordering."""
+    k = np.arange(dicke_dimension(n_atoms))
+    s = (k + 1) % 2  # even positions past |G> hold s = 1
+    s[0] = 0
+    return (k + 1) // 2 - s, s
 
 
 def dicke_position(spec: EnsembleSpec, idx: DickeIndex) -> int:
-    """Index of |E^j R^s> in the fixed Dicke ordering."""
-    try:
-        return _dicke_position(spec.n_atoms)[(idx.j, idx.s)]
-    except KeyError:
+    """Index of |E^j R^s> in the fixed Dicke ordering.
+
+    (0,0) -> 0, (j,0) -> 2j-1 for j >= 1, (j,1) -> 2j+2.
+    """
+    if not idx.admissible(spec):
         raise BasisError(f"({idx.j},{idx.s}) not admissible for N={spec.n_atoms}")
+    return 2 * idx.j - 1 + 3 * idx.s if idx.n else 0
 
 
 def dicke_vector(spec: EnsembleSpec, idx: DickeIndex) -> np.ndarray:
@@ -163,69 +162,3 @@ def _cached_symmetrizer(n_atoms: int) -> np.ndarray:
 def symmetrizer(spec: EnsembleSpec) -> np.ndarray:
     """Isometry (product_dim x 2N+1) whose columns are the Dicke vectors."""
     return _cached_symmetrizer(spec.n_atoms)
-
-
-def collective_raising_element(
-    spec: EnsembleSpec, j: int, s: int, transition: str
-) -> float:
-    """Matrix element of the collective raising operator between Dicke states.
-
-    transition "ge": <E^{j+1} R^s| sum_i |e_i><g_i| |E^j R^s> = sqrt((j+1)(N-j-s))
-    transition "er": <E^{j+1} R^0| sum_i |e_i><r_i| |E^j R^1> = sqrt(j+1)
-
-    Returns 0 for pairs that are not coupled (target inadmissible).
-    """
-    N = spec.n_atoms
-    if transition == "ge":
-        if not DickeIndex(j, s).admissible(spec) or not DickeIndex(j + 1, s).admissible(spec):
-            return 0.0
-        return float(np.sqrt((j + 1) * (N - j - s)))
-    if transition == "er":
-        if not DickeIndex(j, 1).admissible(spec) or not DickeIndex(j + 1, 0).admissible(spec):
-            return 0.0
-        return float(np.sqrt(j + 1))
-    raise ValueError(f"unknown transition {transition!r}")
-
-
-def project_to_dicke(psi: np.ndarray, spec: EnsembleSpec) -> tuple[np.ndarray, float]:
-    """Project a product-basis pure state onto the symmetric manifold.
-
-    Returns (Dicke-basis amplitudes, leakage), where leakage is the squared
-    norm of the residual outside the symmetric manifold.
-    """
-    S = symmetrizer(spec)
-    if psi.shape[0] != S.shape[0]:
-        raise BasisError(
-            f"state dimension {psi.shape[0]} != product dimension {S.shape[0]}"
-        )
-    amps = S.T @ psi
-    leakage = float(np.vdot(psi, psi).real - np.vdot(amps, amps).real)
-    return amps, max(leakage, 0.0)
-
-
-@dataclass
-class QuantumState:
-    """State vector or density matrix with an explicit basis tag."""
-
-    basis: str  # "product" | "dicke" | "restricted6" | "effective2"
-    data: np.ndarray
-    spec: EnsembleSpec
-
-    @property
-    def is_density(self) -> bool:
-        return self.data.ndim == 2
-
-    def validate(self, norm_tol: float = 1e-10, trace_tol: float = 1e-8):
-        if self.is_density:
-            rho = self.data
-            if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-                raise ValueError("density matrix is not Hermitian")
-            if abs(np.trace(rho).real - 1.0) > trace_tol:
-                raise ValueError(f"trace {np.trace(rho).real} != 1")
-            if np.linalg.eigvalsh(rho).min() < -1e-8:
-                raise ValueError("density matrix has negative eigenvalues")
-        else:
-            nrm = np.linalg.norm(self.data)
-            if abs(nrm - 1.0) > norm_tol:
-                raise ValueError(f"state norm {nrm} != 1")
-        return self

@@ -1,7 +1,9 @@
 """Time evolution: exact pure-state propagation and Lindblad master equation.
 
 Pure states under a constant Hamiltonian are propagated by spectral
-decomposition (no integrator error).  Density matrices evolve under
+decomposition (no integrator error); a Hamiltonian with no nonzero beyond
+its second superdiagonal, such as the Dicke chain, is diagonalized with a
+banded eigensolver.  Density matrices evolve under
 rho' = -i[H, rho] + sum_k Gamma_k (L rho L^+ - 1/2 {L^+L, rho}) with an
 adaptive embedded Runge-Kutta integrator on the vectorized density matrix;
 the generator is built once per run as a sparse superoperator.
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.linalg import eig_banded
 
 from .basis import (
     LEVEL_E,
@@ -27,9 +30,9 @@ from .basis import (
     EnsembleSpec,
     N_MAX_PRODUCT_DENSITY,
     dicke_dimension,
+    dicke_labels,
     dicke_position,
     dicke_vector,
-    enumerate_dicke,
     product_basis,
     symmetrizer,
 )
@@ -89,19 +92,45 @@ class Trajectory:
         self.times = t
 
 
+_BANDWIDTH = 2  # superdiagonals of the Dicke chain
+
+
+def _eigh_banded(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a Hermitian matrix with no nonzero above _BANDWIDTH."""
+    dim = h.shape[0]
+    u = min(_BANDWIDTH, dim - 1)  # eig_banded needs u < dim
+    ab = np.zeros((u + 1, dim), dtype=h.dtype)
+    for k in range(u + 1):
+        ab[u - k, k:] = np.diagonal(h, k)
+    return eig_banded(ab, overwrite_a_band=True, check_finite=False)
+
+
 def propagate_pure(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
-    """psi(t) = exp(-i H t) psi0 via eigendecomposition; returns (T, dim)."""
+    """psi(t) = exp(-i H t) psi0 via eigendecomposition; returns (T, dim).
+
+    H is diagonalized by a banded eigensolver when it has no nonzero above
+    its second superdiagonal, and by a dense one otherwise.
+    """
     times = np.asarray(times, dtype=float)
     if h.shape[0] != h.shape[1] or h.shape[0] != psi0.shape[0]:
         raise BasisError(f"dimension mismatch: H {h.shape}, psi0 {psi0.shape}")
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
+    if not (np.isfinite(h).all() and np.isfinite(psi0).all()):
+        raise NumericalFailure("non-finite Hamiltonian or initial state")
+    # "not <=" so that a NaN residual fails the check
+    if not np.max(np.abs(h - h.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(h))):
         raise ValueError("Hamiltonian is not Hermitian")
-    evals, evecs = np.linalg.eigh(h)
+    try:
+        if np.any(np.triu(h, _BANDWIDTH + 1)):
+            evals, evecs = np.linalg.eigh(h)
+        else:
+            evals, evecs = _eigh_banded(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     c0 = evecs.conj().T @ psi0
     phases = np.exp(-1j * np.outer(times, evals))
     states = (phases * c0) @ evecs.T
     norms = np.linalg.norm(states, axis=1)
-    if np.max(np.abs(norms - 1.0)) > NORM_TOL:
+    if not np.max(np.abs(norms - 1.0)) <= NORM_TOL:
         raise NumericalFailure("norm not conserved in pure propagation")
     return states
 
@@ -281,8 +310,8 @@ def observables(
             pops = np.diag(state).real
         else:
             pops = np.abs(state) ** 2
-        s_flags = np.array([idx.s for idx in enumerate_dicke(spec)])
-        p_ryd = float(pops[s_flags == 1].sum())
+        _, s = dicke_labels(spec.n_atoms)
+        p_ryd = float(pops[s == 1].sum())
         p_er = (
             float(pops[dicke_position(spec, DickeIndex(1, 1))])
             if spec.n_atoms >= 2

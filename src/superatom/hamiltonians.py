@@ -25,10 +25,9 @@ from .basis import (
     BasisError,
     DickeIndex,
     EnsembleSpec,
-    collective_raising_element,
     dicke_dimension,
+    dicke_labels,
     dicke_position,
-    enumerate_dicke,
     product_basis,
 )
 
@@ -129,29 +128,50 @@ def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarr
     Probe couplings are collectively enhanced:
     (Omega_p/2)*sqrt((j+1)(N-j-s)) within each s sector; the coupling
     laser links |E^{j+1} R^0> and |E^j R^1> with (Omega_c/2)*sqrt(j+1).
+    In the Dicke ordering every coupling lies within two places of the
+    diagonal, so the matrix is pentadiagonal.
     """
-    idxs = enumerate_dicke(spec)
-    dim = dicke_dimension(spec.n_atoms)
-    h = np.zeros((dim, dim))
-    for a, idx in enumerate(idxs):
-        h[a, a] = -idx.j * params.delta_p - idx.s * (params.delta_p + params.delta_c)
-        up = DickeIndex(idx.j + 1, idx.s)
-        if up.admissible(spec):
-            b = dicke_position(spec, up)
-            el = params.omega_p / 2.0 * collective_raising_element(
-                spec, idx.j, idx.s, "ge"
-            )
-            h[a, b] += el
-            h[b, a] += el
-        if idx.s == 1:
-            up_c = DickeIndex(idx.j + 1, 0)
-            b = dicke_position(spec, up_c)
-            el = params.omega_c / 2.0 * collective_raising_element(
-                spec, idx.j, 1, "er"
-            )
-            h[a, b] += el
-            h[b, a] += el
+    n = spec.n_atoms
+    j, s = dicke_labels(n)
+    h = np.zeros((dicke_dimension(n),) * 2)
+    np.fill_diagonal(h, -j * params.delta_p - s * (params.delta_p + params.delta_c))
+    j0 = np.arange(n)
+    j1 = j0[:-1]
+    up = 2 * j0 + 1  # position of |E^{j+1} R^0>
+    ryd = up + 1  # position of |E^j R^1>
+    # probe in s=0 (from |G>, then |E^j>), probe in s=1, coupling laser
+    rows = np.concatenate([[0], up[:-1], ryd[:-1], ryd])
+    cols = np.concatenate([up, ryd[1:], up])
+    els = np.concatenate(
+        [
+            params.omega_p / 2.0 * np.sqrt((j0 + 1) * (n - j0)),
+            params.omega_p / 2.0 * np.sqrt((j1 + 1) * (n - j1 - 1)),
+            params.omega_c / 2.0 * np.sqrt(j0 + 1),
+        ]
+    )
+    h[rows, cols] = els
+    h[cols, rows] = els
     return h
+
+
+def _dressed_blocks(
+    params: LaserParams, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize the coupling-laser 2x2 blocks at excitation numbers n.
+
+    One batched eigh over the (len(n), 2, 2) stack.  Returns ascending
+    energies (len(n), 2) and eigenvectors (len(n), 2, 2) whose columns are
+    (minus, plus), each signed so that its |E^n> component is >= 0.
+    """
+    off = np.sqrt(n) * params.omega_c / 2.0
+    blocks = np.empty((len(n), 2, 2))
+    blocks[:, 0, 0] = -n * params.delta_p
+    blocks[:, 0, 1] = off
+    blocks[:, 1, 0] = off
+    blocks[:, 1, 1] = -n * params.delta_p - params.delta_c
+    evals, evecs = np.linalg.eigh(blocks)
+    evecs *= np.where(evecs[:, :1, :] < 0, -1.0, 1.0)
+    return evals, evecs
 
 
 def dressed_block(params: LaserParams, n: int) -> tuple[DressedState, DressedState]:
@@ -159,23 +179,14 @@ def dressed_block(params: LaserParams, n: int) -> tuple[DressedState, DressedSta
 
     Block basis is (|E^n R^0>, |E^{n-1} R^1>) with diagonal
     (-n*delta_p, -n*delta_p - delta_c) and off-diagonal sqrt(n)*Omega_c/2.
-    Returns (plus, minus); "+" is the higher-energy branch.
+    Returns (plus, minus); "+" is the higher-energy branch.  The |E^n>
+    component of both is non-negative.
     """
     if n < 1:
         raise ValueError("dressed blocks exist for n >= 1")
-    block = np.array(
-        [
-            [-n * params.delta_p, sqrt(n) * params.omega_c / 2.0],
-            [sqrt(n) * params.omega_c / 2.0, -n * params.delta_p - params.delta_c],
-        ]
-    )
-    evals, evecs = np.linalg.eigh(block)  # ascending
-    minus = DressedState(n, "-", float(evals[0]), evecs[:, 0].copy())
-    plus = DressedState(n, "+", float(evals[1]), evecs[:, 1].copy())
-    # fix the sign convention: |E^n> component non-negative
-    for st in (plus, minus):
-        if st.composition[0] < 0:
-            st.composition[:] = -st.composition
+    evals, evecs = _dressed_blocks(params, np.array([n]))
+    minus = DressedState(n, "-", float(evals[0, 0]), evecs[0, :, 0].copy())
+    plus = DressedState(n, "+", float(evals[0, 1]), evecs[0, :, 1].copy())
     return plus, minus
 
 
@@ -202,17 +213,17 @@ def dicke_to_dressed(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
 
     Column ordering mirrors the Dicke ordering: |G>, then per excitation
     number n the "+" branch in the (n, 0) slot and the "-" branch in the
-    (n-1, 1) slot.
+    (n-1, 1) slot, which is the next position.
     """
-    dim = dicke_dimension(spec.n_atoms)
-    u = np.zeros((dim, dim))
+    n = np.arange(1, spec.n_atoms + 1)
+    _, evecs = _dressed_blocks(params, n)
+    a = 2 * n - 1  # position of |E^n R^0>
+    u = np.zeros((dicke_dimension(spec.n_atoms),) * 2)
     u[0, 0] = 1.0
-    for n in range(1, spec.n_atoms + 1):
-        plus, minus = dressed_block(params, n)
-        a = dicke_position(spec, DickeIndex(n, 0))
-        b = dicke_position(spec, DickeIndex(n - 1, 1))
-        u[[a, b], a] = plus.composition
-        u[[a, b], b] = minus.composition
+    u[a, a] = evecs[:, 0, 1]
+    u[a + 1, a] = evecs[:, 1, 1]
+    u[a, a + 1] = evecs[:, 0, 0]
+    u[a + 1, a + 1] = evecs[:, 1, 0]
     return u
 
 
@@ -308,28 +319,3 @@ def second_order_reduction(
         shift_g += h[i_g, k] ** 2 / (-energies[k])
         shift_2p += h[i_2p, k] ** 2 / (-energies[k])
     return abs(omega_eff), shift_g, shift_2p
-
-
-def build_jc_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
-    """Jaynes-Cummings form of the Dicke-basis Hamiltonian (same matrix).
-
-    The mapping is a relabeling: j plays the role of the photon number and
-    s that of the two-level atom, with the coupling laser as the vacuum
-    Rabi coupling sqrt(j+1)*omega_c/2 and the probe as a coherent drive.
-    """
-    return build_dicke_hamiltonian(params, spec)
-
-
-def jc_label_map(spec: EnsembleSpec) -> dict:
-    """Dicke label -> (photon number, atom state) under the JC mapping."""
-    return {
-        (idx.j, idx.s): (idx.j, "excited" if idx.s else "ground")
-        for idx in enumerate_dicke(spec)
-    }
-
-
-def quantum_fisher_dicke(n_atoms: int, m: int) -> float:
-    """Quantum Fisher information N + 2m(N-m) of the Dicke state with m excitations."""
-    if not 0 <= m <= n_atoms:
-        raise ValueError(f"need 0 <= m <= N, got m={m}, N={n_atoms}")
-    return float(n_atoms + 2 * m * (n_atoms - m))

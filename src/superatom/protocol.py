@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import log, pi, sqrt
+from math import inf, log, pi, sqrt
 
 import numpy as np
 from scipy.special import gammaln
@@ -21,8 +21,9 @@ from .basis import (
     CapacityError,
     DickeIndex,
     EnsembleSpec,
+    dicke_dimension,
+    dicke_labels,
     dicke_position,
-    enumerate_dicke,
     product_basis,
     symmetrizer,
 )
@@ -41,7 +42,7 @@ from .hamiltonians import (
     build_dicke_hamiltonian,
     build_product_hamiltonian,
     build_restricted_hamiltonian,
-    dicke_to_dressed,
+    dressed_block,
     effective_two_level,
     resonance_probe_detuning,
     second_order_reduction,
@@ -133,7 +134,11 @@ def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
     else:
         delta_p = params.delta_p
     final = probe.replace(delta_p=delta_p)
+    if not 0.0 < omega_eff < inf:
+        raise BasisError(f"effective coupling {omega_eff} is not positive and finite")
     pulse_time = cfg.pulse_time if cfg.pulse_time is not None else pi / omega_eff
+    if not pulse_time < inf:
+        raise BasisError(f"pulse time {pulse_time} us is not finite")
     return ResolvedProtocol(
         spec=spec,
         params=final,
@@ -148,18 +153,14 @@ def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
 AUTO_DELTA_P = float("nan")
 
 
-def _dicke_state_labels(spec: EnsembleSpec) -> list[str]:
-    return [f"E{idx.j}R{idx.s}" for idx in enumerate_dicke(spec)]
-
-
 def _trajectory_from_dicke(
     states: np.ndarray, times: np.ndarray, spec: EnsembleSpec, two_plus_vec: np.ndarray
 ) -> Trajectory:
     pops = np.abs(states) ** 2
-    idxs = enumerate_dicke(spec)
+    _, s = dicke_labels(spec.n_atoms)
     data = {
         "p_G": pops[:, 0],
-        "p_ryd": pops[:, [k for k, i in enumerate(idxs) if i.s == 1]].sum(axis=1),
+        "p_ryd": pops[:, s == 1].sum(axis=1),
         "p_2plus": np.abs(states @ two_plus_vec.conj()) ** 2,
         "p_R": pops[:, dicke_position(spec, DickeIndex(0, 1))],
     }
@@ -172,8 +173,12 @@ def _trajectory_from_dicke(
 
 
 def _two_plus_dicke_vector(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
-    u = dicke_to_dressed(params, spec)
-    return u[:, dicke_position(spec, DickeIndex(2, 0))]
+    """|2+> in the Dicke basis, from the n=2 dressed block alone."""
+    plus, _ = dressed_block(params, 2)
+    vec = np.zeros(dicke_dimension(spec.n_atoms))
+    vec[[dicke_position(spec, DickeIndex(2, 0)),
+         dicke_position(spec, DickeIndex(1, 1))]] = plus.composition
+    return vec
 
 
 def run_protocol(
@@ -500,10 +505,8 @@ def _integrated_level_population(cfg: ProtocolConfig, which: str) -> float:
     psi0 = np.zeros(h.shape[0], dtype=complex)
     psi0[0] = 1.0
     pops = np.abs(propagate_pure(h, psi0, times)) ** 2
-    idxs = enumerate_dicke(res.spec)
-    weight = np.array(
-        [i.j if which == "gamma_e" else i.s for i in idxs], dtype=float
-    )
+    j, s = dicke_labels(res.spec.n_atoms)
+    weight = (j if which == "gamma_e" else s).astype(float)
     return float(np.trapezoid(pops @ weight, times))
 
 
@@ -566,8 +569,8 @@ def collapse_revival_demo(
     )
     states = propagate_pure(h2, psi1, times)
     pops = np.abs(states) ** 2
-    s_flags = np.array([idx.s for idx in enumerate_dicke(spec)])
-    p_ryd = pops[:, s_flags == 1].sum(axis=1)
+    _, s = dicke_labels(spec.n_atoms)
+    p_ryd = pops[:, s == 1].sum(axis=1)
     return Trajectory(
         times=np.asarray(times, dtype=float),
         populations={"p_ryd": p_ryd},

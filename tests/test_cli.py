@@ -241,6 +241,24 @@ class TestMainEntry:
         code, _ = run_cli(tmp_path, "scan-dc", text)
         assert code == 4
 
+    def test_underflowing_probe_exit_code(self, tmp_path, capsys):
+        """omega_p^2 underflows to 0, so there is no pi-pulse time."""
+        text = RABI_CFG.replace("omega_p_mhz = 0.7", "omega_p_mhz = 1e-200")
+        code, _ = run_cli(tmp_path, "rabi", text)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "effective coupling" in err[0]
+
+    def test_eigensolver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr("superatom.dynamics.eig_banded", fail)
+        code, _ = run_cli(tmp_path, "rabi", RABI_CFG + "model = dicke\n")
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "did not converge" in err[0]
+
     @pytest.fixture
     def no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):

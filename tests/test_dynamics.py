@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+import superatom.dynamics
 from superatom.basis import (
     BasisError,
     CapacityError,
@@ -67,6 +69,100 @@ class TestPurePropagation:
     def test_dimension_mismatch(self):
         with pytest.raises(BasisError):
             propagate_pure(np.zeros((3, 3)), np.array([1.0, 0.0]), [1.0])
+
+    def test_nan_hamiltonian_rejected(self):
+        h = np.eye(3)
+        h[1, 1] = np.nan
+        with pytest.raises(NumericalFailure):
+            propagate_pure(h, np.array([1.0, 0.0, 0.0], dtype=complex), [1.0])
+
+    def test_nan_initial_state_rejected(self):
+        psi0 = np.array([1.0, np.nan, 0.0], dtype=complex)
+        with pytest.raises(NumericalFailure):
+            propagate_pure(np.eye(3), psi0, [1.0])
+
+    def test_eigensolver_failure_is_numerical(self, monkeypatch):
+        def fail(_h):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(superatom.dynamics.np.linalg, "eigh", fail)
+        h = np.ones((5, 5))  # full, so the dense solver runs
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            propagate_pure(h, np.eye(5, dtype=complex)[0], [1.0])
+
+
+def _random_pentadiagonal(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = np.triu(np.tril(a, 2), -2)
+    return (a + a.conj().T) / 2
+
+
+def _random_state(dim, seed):
+    rng = np.random.default_rng(seed + 1000)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+class TestBandedPropagation:
+    """Pentadiagonal H goes through the banded eigensolver; the result must
+    match exp(-iHt) and the dense eigensolver, which runs on the same H in
+    a permuted order that breaks the band."""
+
+    TIMES = np.linspace(0.05, 2.0, 7)
+
+    @pytest.fixture
+    def banded_calls(self, monkeypatch):
+        calls = []
+        real = superatom.dynamics.eig_banded
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(superatom.dynamics, "eig_banded", spy)
+        return calls
+
+    def _check(self, h, psi0, banded_calls):
+        got = propagate_pure(h, psi0, self.TIMES)
+        assert len(banded_calls) == 1
+        want = np.array([expm(-1j * h * t) @ psi0 for t in self.TIMES])
+        assert np.max(np.abs(got - want)) < 1e-10
+        dim = h.shape[0]
+        if dim > 3 and np.any(h):
+            perm = np.r_[0, 2:dim, 1]
+            hp = h[np.ix_(perm, perm)]
+            assert np.any(np.triu(hp, 3))
+            dense = np.empty_like(got)
+            dense[:, perm] = propagate_pure(hp, psi0[perm], self.TIMES)
+            assert len(banded_calls) == 1
+            assert np.max(np.abs(got - dense)) < 1e-10
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 40])
+    def test_random_pentadiagonal(self, dim, banded_calls):
+        self._check(
+            _random_pentadiagonal(dim, dim), _random_state(dim, dim), banded_calls
+        )
+
+    @pytest.mark.parametrize("n_atoms", [1, 3, 50])
+    def test_dicke_hamiltonian(self, n_atoms, banded_calls):
+        h = build_dicke_hamiltonian(
+            LaserParams(1.5, 4.0, 0.7, -2.0), EnsembleSpec(n_atoms)
+        )
+        self._check(h, _random_state(h.shape[0], n_atoms), banded_calls)
+
+    def test_zero_hamiltonian(self, banded_calls):
+        self._check(np.zeros((5, 5)), _random_state(5, 0), banded_calls)
+
+    @pytest.mark.parametrize("omega_c", [4.0, 1e-12])
+    def test_probe_off(self, omega_c, banded_calls):
+        """Omega_p = 0: |G> decouples and H falls apart into the 2x2 coupling
+        blocks; with a vanishing coupling laser as well, every level sits
+        within 1e-12 of 0."""
+        h = build_dicke_hamiltonian(
+            LaserParams(0.0, omega_c, 0.0, 0.0), EnsembleSpec(4)
+        )
+        self._check(h, _random_state(9, 4), banded_calls)
 
 
 class TestLindbladOperators:

@@ -1,22 +1,27 @@
+from math import sqrt
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from superatom.basis import DickeIndex, EnsembleSpec, dicke_position, symmetrizer
+from superatom.basis import (
+    DickeIndex,
+    EnsembleSpec,
+    dicke_dimension,
+    enumerate_dicke,
+    symmetrizer,
+)
 from superatom.hamiltonians import (
     TWO_PI,
     LaserParams,
     UnsupportedRegimeError,
     build_dicke_hamiltonian,
-    build_jc_hamiltonian,
     build_product_hamiltonian,
     build_restricted_hamiltonian,
     dicke_to_dressed,
     dressed_block,
     effective_two_level,
-    jc_label_map,
-    quantum_fisher_dicke,
     resonance_probe_detuning,
     second_order_reduction,
 )
@@ -209,19 +214,6 @@ class TestRestrictedModel:
 
 
 class TestJaynesCummingsView:
-    def test_same_matrix(self):
-        params = LaserParams(1.0, 30.0, 0.0, 0.0)
-        spec = EnsembleSpec(6)
-        assert np.array_equal(
-            build_jc_hamiltonian(params, spec), build_dicke_hamiltonian(params, spec)
-        )
-
-    def test_label_map(self):
-        m = jc_label_map(EnsembleSpec(3))
-        assert m[(0, 0)] == (0, "ground")
-        assert m[(2, 1)] == (2, "excited")
-        assert len(m) == 7
-
     def test_vacuum_rabi_splitting(self):
         # j=0, s-sector pair |R>,|E>: coupling sqrt(1)*omega_c/2
         params = LaserParams(0.0, 24.0, 0.0, 0.0)
@@ -229,19 +221,99 @@ class TestJaynesCummingsView:
         assert plus.energy - minus.energy == pytest.approx(params.omega_c)
 
 
-class TestQuantumFisher:
-    @given(st.integers(1, 200))
-    def test_w_state_value(self, n):
-        # m=1 ("W state"): F_Q = 3N - 2
-        assert quantum_fisher_dicke(n, 1) == 3 * n - 2
+# The per-label loops that the array builds replaced, kept as references.
 
-    @given(st.integers(2, 200), st.integers(0, 200))
-    def test_bounds(self, n, m):
-        if m > n:
-            with pytest.raises(ValueError):
-                quantum_fisher_dicke(n, m)
-        else:
-            f = quantum_fisher_dicke(n, m)
-            assert n <= f <= n + n * n / 2 + 1
-            # half-filled Dicke state maximizes F_Q
-            assert f <= quantum_fisher_dicke(n, n // 2) + 2
+
+def _reference_positions(spec):
+    return {(idx.j, idx.s): k for k, idx in enumerate(enumerate_dicke(spec))}
+
+
+def reference_build_dicke_hamiltonian(params, spec):
+    n_atoms = spec.n_atoms
+    pos = _reference_positions(spec)
+    dim = dicke_dimension(n_atoms)
+    h = np.zeros((dim, dim))
+    for a, idx in enumerate(enumerate_dicke(spec)):
+        h[a, a] = -idx.j * params.delta_p - idx.s * (params.delta_p + params.delta_c)
+        up = DickeIndex(idx.j + 1, idx.s)
+        if up.admissible(spec):
+            b = pos[(up.j, up.s)]
+            el = params.omega_p / 2.0 * float(
+                np.sqrt((idx.j + 1) * (n_atoms - idx.j - idx.s))
+            )
+            h[a, b] += el
+            h[b, a] += el
+        if idx.s == 1:
+            b = pos[(idx.j + 1, 0)]
+            el = params.omega_c / 2.0 * float(np.sqrt(idx.j + 1))
+            h[a, b] += el
+            h[b, a] += el
+    return h
+
+
+def reference_dressed_block(params, n):
+    """(energies, eigenvector columns (minus, plus)) of one 2x2 block."""
+    block = np.array(
+        [
+            [-n * params.delta_p, sqrt(n) * params.omega_c / 2.0],
+            [sqrt(n) * params.omega_c / 2.0, -n * params.delta_p - params.delta_c],
+        ]
+    )
+    evals, evecs = np.linalg.eigh(block)
+    for col in (0, 1):
+        if evecs[0, col] < 0:
+            evecs[:, col] = -evecs[:, col]
+    return evals, evecs
+
+
+def reference_dicke_to_dressed(params, spec):
+    pos = _reference_positions(spec)
+    dim = dicke_dimension(spec.n_atoms)
+    u = np.zeros((dim, dim))
+    u[0, 0] = 1.0
+    for n in range(1, spec.n_atoms + 1):
+        _, evecs = reference_dressed_block(params, n)
+        a, b = pos[(n, 0)], pos[(n - 1, 1)]
+        u[[a, b], a] = evecs[:, 1]
+        u[[a, b], b] = evecs[:, 0]
+    return u
+
+
+class TestArrayBuildsMatchLoops:
+    """The array builds reproduce the per-label loops bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(laser_params, st.integers(1, 12))
+    @example(LaserParams(1, 2, 0, 0), 4)  # integer fields: the matrix stays float
+    def test_dicke_hamiltonian(self, params, n):
+        spec = EnsembleSpec(n)
+        assert np.array_equal(
+            build_dicke_hamiltonian(params, spec),
+            reference_build_dicke_hamiltonian(params, spec),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(laser_params, st.integers(1, 12))
+    def test_dicke_to_dressed(self, params, n):
+        spec = EnsembleSpec(n)
+        assert np.array_equal(
+            dicke_to_dressed(params, spec), reference_dicke_to_dressed(params, spec)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(laser_params, st.integers(1, 12))
+    def test_dressed_block(self, params, n):
+        evals, evecs = reference_dressed_block(params, n)
+        plus, minus = dressed_block(params, n)
+        assert (minus.energy, plus.energy) == (evals[0], evals[1])
+        assert np.array_equal(minus.composition, evecs[:, 0])
+        assert np.array_equal(plus.composition, evecs[:, 1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(laser_params, st.integers(1, 12))
+    def test_dicke_hamiltonian_is_pentadiagonal(self, params, n):
+        """No nonzero beyond the second off-diagonal: what lets propagate_pure
+        use a banded eigensolver."""
+        h = build_dicke_hamiltonian(params, EnsembleSpec(n))
+        rows, cols = np.nonzero(h)
+        assert np.all(np.abs(rows - cols) <= 2)
