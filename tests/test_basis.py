@@ -46,9 +46,15 @@ class TestDimensions:
         with pytest.raises(CapacityError):
             ProductBasis(EnsembleSpec(9))
 
+
+class TestQuantumState:
+    """Validation of the ensemble specification that every state is built on."""
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             EnsembleSpec(0)
+        with pytest.raises(ValueError):
+            EnsembleSpec(-3)
 
 
 class TestEnumeration:
