@@ -31,12 +31,10 @@ from .dynamics import (
 )
 from .hamiltonians import (
     LaserParams,
-    UnsupportedRegimeError,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
     build_restricted_hamiltonian,
     dressed_block,
-    effective_two_level,
     resonance_probe_detuning,
 )
 from .ion_escape import EscapeResult, IonEscapeConfig, simulate_escape

@@ -26,7 +26,7 @@ from . import __version__
 from .basis import CapacityError
 from .config import EXPERIMENTS, ConfigError, ion_config, parse_config, protocol_config
 from .dynamics import NumericalFailure, Trajectory
-from .hamiltonians import TWO_PI, UnsupportedRegimeError
+from .hamiltonians import TWO_PI
 from .ion_escape import simulate_escape
 from .protocol import (
     PoissonEnsemble,
@@ -172,6 +172,13 @@ def _run_scan_oc(rc, out: Path, workers: int) -> None:
         v["omega_c_min_mhz"], v["omega_c_max_mhz"], v["n_points"]
     )
     scan = scan_omega_c(cfg, grid, model=model, n_workers=workers)
+    for r in scan.rows:
+        if r.infidelity is None or r.infidelity <= 0:
+            value = "undefined" if r.infidelity is None else _fmt(r.infidelity)
+            raise NumericalFailure(
+                f"infidelity {value} at omega_c = {_fmt(r.x / TWO_PI)} MHz; "
+                "the log-log fit needs a positive infidelity at every point"
+            )
     write_csv(
         out / "scan.csv",
         ["omega_c_mhz", "success", "infidelity", "bound"],
@@ -356,7 +363,7 @@ def main(argv=None) -> int:
             _run_ion_mc(rc, args.out, args.seed)
         else:
             _run_jc_demo(rc, args.out, workers)
-    except (ConfigError, UnsupportedRegimeError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

@@ -13,6 +13,7 @@ diagonalizing those blocks gives the dressed states |n+->.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import pi, sqrt
 
@@ -23,19 +24,13 @@ from .basis import (
     LEVEL_G,
     LEVEL_R,
     BasisError,
-    DickeIndex,
     EnsembleSpec,
     dicke_dimension,
     dicke_labels,
-    dicke_position,
     product_basis,
 )
 
 TWO_PI = 2.0 * pi
-
-
-class UnsupportedRegimeError(ValueError):
-    """Closed-form reduction requested outside its validity regime."""
 
 
 @dataclass(frozen=True)
@@ -61,14 +56,7 @@ class LaserParams:
         )
 
     def replace(self, **kw) -> "LaserParams":
-        d = dict(
-            omega_p=self.omega_p,
-            omega_c=self.omega_c,
-            delta_p=self.delta_p,
-            delta_c=self.delta_c,
-        )
-        d.update(kw)
-        return LaserParams(**d)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -79,15 +67,6 @@ class DressedState:
     branch: str  # "+" (higher energy) or "-"
     energy: float
     composition: np.ndarray  # amplitudes on (|E^n R^0>, |E^{n-1} R^1>)
-
-
-@dataclass(frozen=True)
-class EffectiveTwoLevel:
-    """Adiabatic-elimination reduction to the {|G>, |2+>} pair."""
-
-    omega_eff: float
-    delta_eff: float
-    target_composition: np.ndarray  # |2+> on (|E^2>, |ER>)
 
 
 def build_product_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
@@ -190,22 +169,16 @@ def dressed_block(params: LaserParams, n: int) -> tuple[DressedState, DressedSta
     return plus, minus
 
 
-def resonance_probe_detuning(
-    omega_c: float, delta_c: float, n: int = 2, branch: str = "+"
-) -> float:
-    """Probe detuning that tunes the chosen dressed state to zero energy.
+def resonance_probe_detuning(omega_c: float, delta_c: float) -> float:
+    """Probe detuning that tunes the dressed state |2+> to zero energy.
 
-    E(n, +-) = -n*delta_p - delta_c/2 +- sqrt(delta_c^2/4 + n*omega_c^2/4),
-    so E = 0 at delta_p = (-delta_c/2 +- sqrt(...))/n.  For n=2, "+" this is
-    the closed form (-delta_c/2 + sqrt(delta_c^2/4 + omega_c^2/2))/2.
+    E(2, +) = -2*delta_p - delta_c/2 + sqrt(delta_c^2/4 + 2*omega_c^2/4),
+    so E = 0 at delta_p = (-delta_c/2 + sqrt(delta_c^2/4 + omega_c^2/2))/2.
     """
     if omega_c <= 0:
         raise ValueError("omega_c must be > 0")
-    if branch not in ("+", "-"):
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    root = sqrt(delta_c**2 / 4.0 + n * omega_c**2 / 4.0)
-    sign = 1.0 if branch == "+" else -1.0
-    return (-delta_c / 2.0 + sign * root) / n
+    root = sqrt(delta_c**2 / 4.0 + 2 * omega_c**2 / 4.0)
+    return (-delta_c / 2.0 + root) / 2
 
 
 def dicke_to_dressed(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
@@ -227,7 +200,11 @@ def dicke_to_dressed(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
     return u
 
 
+# Columns of dicke_to_dressed holding these states: |n+> sits at the
+# position of |E^n R^0> and |n-> at that of |E^(n-1) R^1>.
 RESTRICTED_LABELS = ("G", "1+", "1-", "2+", "3+", "3-")
+RESTRICTED_POSITIONS = (0, 1, 2, 3, 5, 6)
+_TWO_PLUS = 3
 
 
 @dataclass(frozen=True)
@@ -242,13 +219,19 @@ class RestrictedModel:
     dicke_columns: np.ndarray  # (2N+1, len(labels))
 
 
-def _dressed_label_position(spec: EnsembleSpec, label: str) -> int:
-    if label == "G":
-        return 0
-    n, branch = int(label[:-1]), label[-1]
-    if branch == "+":
-        return dicke_position(spec, DickeIndex(n, 0))
-    return dicke_position(spec, DickeIndex(n - 1, 1))
+def _low_dressed_frame(
+    params: LaserParams, spec: EnsembleSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u^T H u) on the dressed states with n <= 3, the first
+    min(7, 2N+1) Dicke positions.
+
+    u is block-diagonal in n and its blocks do not depend on N, so this is
+    the leading block of the full dressed-frame Hamiltonian.  Only the
+    n = 1 and n = 3 states are one probe step from |G> or |2+>.
+    """
+    u = dicke_to_dressed(params, EnsembleSpec(min(spec.n_atoms, 3)))
+    m = u.shape[0]
+    return u, u.T @ build_dicke_hamiltonian(params, spec)[:m, :m] @ u
 
 
 def build_restricted_hamiltonian(
@@ -260,62 +243,43 @@ def build_restricted_hamiltonian(
     """
     if spec.n_atoms < 2:
         raise BasisError("restricted model needs N >= 2")
-    labels = RESTRICTED_LABELS if spec.n_atoms >= 3 else ("G", "1+", "1-", "2+")
-    u = dicke_to_dressed(params, spec)
-    h_dressed = u.T @ build_dicke_hamiltonian(params, spec) @ u
-    cols = [_dressed_label_position(spec, lab) for lab in labels]
+    k = len(RESTRICTED_LABELS) if spec.n_atoms >= 3 else 4
+    cols = list(RESTRICTED_POSITIONS[:k])
+    u, h = _low_dressed_frame(params, spec)
+    dicke_columns = np.zeros((dicke_dimension(spec.n_atoms), k))
+    dicke_columns[: u.shape[0]] = u[:, cols]
     return RestrictedModel(
-        h=h_dressed[np.ix_(cols, cols)], labels=labels, dicke_columns=u[:, cols]
+        h=h[np.ix_(cols, cols)],
+        labels=RESTRICTED_LABELS[:k],
+        dicke_columns=dicke_columns,
     )
-
-
-def effective_two_level(params: LaserParams, spec: EnsembleSpec) -> EffectiveTwoLevel:
-    """Closed-form adiabatic elimination at delta_c = -omega_c/2.
-
-    Omega_eff = sqrt(2/3)*sqrt(N(N-1))*omega_p^2/omega_c and
-    Delta_eff = (2N-7)/3 * omega_p^2/omega_c.  These forms hold only at
-    delta_c = -omega_c/2, where |2+> = (|E^2> + sqrt(2)|ER>)/sqrt(3).
-    """
-    if spec.n_atoms < 2:
-        raise BasisError("effective two-level model needs N >= 2")
-    if abs(params.delta_c + params.omega_c / 2.0) > 1e-9 * params.omega_c:
-        raise UnsupportedRegimeError(
-            "closed-form elimination requires delta_c = -omega_c/2"
-        )
-    N = spec.n_atoms
-    omega_eff = sqrt(2.0 / 3.0) * sqrt(N * (N - 1)) * params.omega_p**2 / params.omega_c
-    delta_eff = (2 * N - 7) / 3.0 * params.omega_p**2 / params.omega_c
-    comp = np.array([1.0 / sqrt(3.0), sqrt(2.0 / 3.0)])
-    return EffectiveTwoLevel(omega_eff, delta_eff, comp)
 
 
 def second_order_reduction(
     params: LaserParams, spec: EnsembleSpec
-) -> tuple[float, float, float]:
-    """Numeric second-order reduction to {|G>, |2+>} at arbitrary delta_c.
+) -> tuple[float, float]:
+    """Second-order reduction to {|G>, |2+>} at arbitrary delta_c.
 
     Assumes delta_p is at (or near) the |2+> resonance so that |G> and |2+>
-    are quasi-degenerate at zero energy.  Returns (omega_eff, shift_g,
-    shift_2p): the magnitude of the second-order Rabi coupling and the
-    level shifts of |G> and |2+> from the off-resonant dressed states.
+    are quasi-degenerate at zero energy.  Returns (omega_eff, delta_eff):
+    the magnitude of the second-order Rabi coupling and the level shift of
+    |2+> minus that of |G>, both from the off-resonant dressed states.
+    The probe has no diagonal element in the dressed frame, so the
+    dressed energies are the diagonal of h.
     """
     if spec.n_atoms < 2:
         raise BasisError("reduction needs N >= 2")
-    u = dicke_to_dressed(params, spec)
-    h = u.T @ build_dicke_hamiltonian(params, spec) @ u
-    energies = np.diag(u.T @ build_dicke_hamiltonian(
-        params.replace(omega_p=0.0), spec) @ u)
-    i_g = 0
-    i_2p = _dressed_label_position(spec, "2+")
+    _, h = _low_dressed_frame(params, spec)
+    energies = np.diag(h)
     omega_eff = 0.0
     shift_g = 0.0
     shift_2p = 0.0
     for k in range(h.shape[0]):
-        if k in (i_g, i_2p):
+        if k in (0, _TWO_PLUS):
             continue
         if abs(energies[k]) < 1e-12 * params.omega_c:
             continue  # accidental degeneracy; excluded from scans
-        omega_eff += 2.0 * h[i_2p, k] * h[k, i_g] / (-energies[k])
-        shift_g += h[i_g, k] ** 2 / (-energies[k])
-        shift_2p += h[i_2p, k] ** 2 / (-energies[k])
-    return abs(omega_eff), shift_g, shift_2p
+        omega_eff += 2.0 * h[_TWO_PLUS, k] * h[k, 0] / (-energies[k])
+        shift_g += h[0, k] ** 2 / (-energies[k])
+        shift_2p += h[_TWO_PLUS, k] ** 2 / (-energies[k])
+    return abs(omega_eff), shift_2p - shift_g

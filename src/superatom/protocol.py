@@ -43,16 +43,11 @@ from .hamiltonians import (
     build_product_hamiltonian,
     build_restricted_hamiltonian,
     dressed_block,
-    effective_two_level,
     resonance_probe_detuning,
     second_order_reduction,
 )
 
 MODELS = ("full", "dicke", "restricted6", "effective2", "lindblad")
-
-# delta_c = -omega_c/2 within this relative tolerance selects the paper's
-# closed-form elimination; elsewhere the numeric second-order reduction is used.
-_CANONICAL_DC_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,19 +97,6 @@ class ProtocolResult:
     final_observables: Observables | None = None
 
 
-def _reduction(params: LaserParams, spec: EnsembleSpec) -> tuple[float, float]:
-    """(omega_eff, delta_eff) at the current parameters.
-
-    Uses the closed forms at delta_c = -omega_c/2 and the numeric
-    second-order reduction otherwise; the two agree at the canonical point.
-    """
-    if abs(params.delta_c + params.omega_c / 2) <= _CANONICAL_DC_RTOL * params.omega_c:
-        eff = effective_two_level(params, spec)
-        return eff.omega_eff, eff.delta_eff
-    w, sg, s2 = second_order_reduction(params, spec)
-    return w, s2 - sg
-
-
 def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
     """Solve omega_p, delta_p and the pulse time from the configured knobs."""
     spec, params = cfg.spec, cfg.params
@@ -123,12 +105,12 @@ def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
     if cfg.effective_rabi_target is not None:
         # omega_eff scales as omega_p^2; solve from a unit-probe evaluation
         unit = probe.replace(omega_p=1.0)
-        coef, _ = _reduction(unit, spec)
+        coef, _ = second_order_reduction(unit, spec)
         if coef <= 0:
             raise BasisError("effective coupling vanished; cannot solve omega_p")
         omega_p = sqrt(cfg.effective_rabi_target / coef)
         probe = probe.replace(omega_p=omega_p)
-    omega_eff, delta_eff = _reduction(probe, spec)
+    omega_eff, delta_eff = second_order_reduction(probe, spec)
     if np.isnan(params.delta_p):
         delta_p = dp_res + delta_eff / 2.0
     else:
@@ -448,6 +430,10 @@ def poisson_average(
                 infidelity=res.infidelity)
         for n, res in zip(ns, _map_runs(pts, model, 3, n_workers))
     ]
+    if all(r.infidelity is None for r in per_n):
+        raise NumericalFailure(
+            f"infidelity undefined at every atom number N = {ns[0]}..{ns[-1]}"
+        )
     succ = np.array([r.success for r in per_n])
     infid = np.array([0.0 if r.infidelity is None else r.infidelity for r in per_n])
     herald_w = ws * succ
@@ -529,6 +515,12 @@ def scan_decoherence(
                 infidelity=res.infidelity)
         for g, res in zip(grid, _map_runs(pts, "lindblad", 3, n_workers))
     ]
+    for r in rows:
+        if r.infidelity is None:
+            raise NumericalFailure(
+                f"infidelity undefined at {which} = {r.x:.12g} rad/us; "
+                "the line fit needs every point"
+            )
     xs = np.array([r.x for r in rows])
     ys = np.array([r.infidelity for r in rows])
     slope, intercept = np.polyfit(xs, ys, 1)

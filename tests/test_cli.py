@@ -1,14 +1,26 @@
+import io
 import json
 import re
+import tempfile
 import time
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superatom.cli import _fmt, main
-from superatom.config import ConfigError, ion_config, parse_config, protocol_config
+from superatom.config import (
+    EXPERIMENTS,
+    ConfigError,
+    ion_config,
+    parse_config,
+    protocol_config,
+)
 from superatom.hamiltonians import TWO_PI
+from superatom.protocol import MODELS
 
 RABI_CFG = """\
 # minimal four-atom run
@@ -291,6 +303,48 @@ class TestMainEntry:
                           extra=["--workers", "1"])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "experiment,text,message",
+        [
+            pytest.param(
+                "scan-oc",
+                "n_atoms = 3\nomega_eff_target_mhz = 0.1\nn_points = 3\n"
+                "pulse_time_us = 1e-9\n",
+                "infidelity undefined at omega_c = 20 MHz",
+                id="scan-oc",
+            ),
+            pytest.param(
+                "scan-oc",
+                "n_atoms = 3\nomega_eff_target_mhz = 0.1\nn_points = 3\n"
+                "model = effective2\n",
+                "infidelity 0 at omega_c = 20 MHz",
+                id="scan-oc-zero",
+            ),
+            pytest.param(
+                "lindblad-scan",
+                "n_atoms = 2\nomega_c_mhz = 20\nomega_eff_target_mhz = 0.1\n"
+                "channel = gamma_e\ngamma_max_mhz = 0.01\nn_points = 2\n"
+                "pulse_time_us = 1e-9\n",
+                "infidelity undefined at gamma_e = 0 rad/us",
+                id="lindblad-scan",
+            ),
+            pytest.param(
+                "scan-n",
+                "poisson_mean = 30\nomega_c_mhz = 20\nomega_eff_target_mhz = 0.1\n"
+                "pulse_time_us = 1e-9\n",
+                "infidelity undefined at every atom number",
+                id="scan-n",
+            ),
+        ],
+    )
+    def test_undefined_infidelity_exit_code(self, tmp_path, capsys, experiment,
+                                            text, message):
+        """A fit or average over points without a defined infidelity exits 4."""
+        code, _ = run_cli(tmp_path, experiment, text, extra=["--workers", "1"])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+
     def test_jc_demo(self, tmp_path):
         text = (
             "n_atoms = 8\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
@@ -300,3 +354,119 @@ class TestMainEntry:
         assert code == 0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "time_us,p_ryd"
+
+
+# Configs the schemas accept, with every knob that sets a run's cost bounded:
+# N <= 3 (scan-n: a Poisson mean of 20-40, whose master-equation and
+# product-basis points stop at the capacity limits), grids of at most 4
+# points, at most 12 output times, a few ion trajectories over at most
+# 100 ns.  A master-equation rabi run always gets an explicit pulse of at
+# most 5 us; target-driven runs last pi/omega_eff <= 5 us.
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+_PULSE_US = st.sampled_from(["1e-9", "1e-6"]) | _num(0.01, 5.0)
+_RATES = {k: _num(0.0, 0.05) for k in (
+    "gamma_e_mhz", "gamma_r_mhz", "gamma_d_mhz", "gamma_coll_mhz")}
+_PROTOCOL = {
+    "delta_p_mhz": _num(-20.0, 20.0),
+    "pulse_time_us": _PULSE_US,
+    "n_times": st.integers(2, 12).map(str),
+    "model": st.sampled_from(MODELS),
+    **_RATES,
+}
+_N_ATOMS = st.sampled_from(["2", "3", "1"])
+_OMEGA_C = _num(1.0, 20.0)
+_TARGET = _num(0.1, 1.0)
+_RATIO = _num(-3.0, 1.0)
+_GRID = st.integers(2, 4).map(str)
+
+
+def _either(draw, a, b):
+    """One key of an exactly-one pair."""
+    key, value = draw(st.sampled_from([a, b]))
+    return {key: draw(value)}
+
+
+@st.composite
+def _rabi(draw):
+    keys = draw(st.fixed_dictionaries(
+        {"n_atoms": _N_ATOMS, "omega_c_mhz": _OMEGA_C}, optional=_PROTOCOL))
+    keys.update(_either(draw, ("omega_p_mhz", _num(0.5, 5.0)),
+                        ("omega_eff_target_mhz", _TARGET)))
+    keys.update(_either(draw, ("delta_c_mhz", _num(-20.0, 20.0)),
+                        ("delta_c_over_omega_c", _RATIO)))
+    lindblad = keys.get("model") == "lindblad" or any(
+        float(keys.get(k, "0")) > 0 for k in _RATES)
+    if lindblad and "pulse_time_us" not in keys:
+        keys["pulse_time_us"] = draw(_PULSE_US)
+    return keys
+
+
+_CONFIGS = {
+    "rabi": _rabi(),
+    "scan-dc": st.fixed_dictionaries(
+        {"n_atoms": _N_ATOMS, "omega_c_mhz": _OMEGA_C,
+         "omega_eff_target_mhz": _TARGET, "n_points": _GRID},
+        optional={"ratio_min": _RATIO, "ratio_max": _RATIO, **_PROTOCOL}),
+    "scan-oc": st.fixed_dictionaries(
+        {"n_atoms": _N_ATOMS, "omega_eff_target_mhz": _TARGET,
+         "omega_c_min_mhz": _OMEGA_C, "omega_c_max_mhz": _OMEGA_C,
+         "n_points": _GRID},
+        optional=_PROTOCOL),
+    "scan-n": st.fixed_dictionaries(
+        {"poisson_mean": _num(20.0, 40.0), "omega_c_mhz": _OMEGA_C,
+         "omega_eff_target_mhz": _TARGET},
+        optional={"half_width_sigmas": _num(5.5, 6.0),
+                  "delta_c_over_omega_c": _RATIO, **_PROTOCOL}),
+    "lindblad-scan": st.fixed_dictionaries(
+        {"n_atoms": _N_ATOMS, "omega_c_mhz": _OMEGA_C,
+         "omega_eff_target_mhz": _TARGET, "n_points": _GRID,
+         "channel": st.sampled_from(["gamma_e", "gamma_r", "gamma_d"]),
+         "gamma_max_mhz": _num(1e-4, 0.05)},
+        optional={"delta_c_over_omega_c": _RATIO, "gamma_min_mhz": _num(0.0, 0.05),
+                  **_PROTOCOL}),
+    "jc-demo": st.fixed_dictionaries(
+        {"n_atoms": st.integers(1, 30).map(str), "omega_p_mhz": _num(0.1, 5.0),
+         "omega_c_mhz": _num(1.0, 50.0), "probe_pulse_time_us": _PULSE_US,
+         "total_time_us": _PULSE_US, "n_times": st.integers(2, 50).map(str)}),
+    "ion-mc": st.fixed_dictionaries(
+        {"n_trajectories": st.integers(1, 3).map(str),
+         "max_time_ns": _num(1.0, 100.0),
+         "time_step_ns": _num(0.05, 0.12)},
+        optional={
+            "ramp_field_max_v_per_m": _num(0.0, 1e5),
+            "ramp_time_ns": _num(1.0, 300.0),
+            "trap_diameter_um": _num(0.5, 2.0),
+            "trap_volume_um3": _num(0.5, 2.0),
+            "n_atoms": st.integers(2, 10).map(str),
+            "ion_mass_amu": _num(1.0, 200.0),
+            "phase_threshold_rad": _num(1e-3, 1.0),
+            "softening_radius_um": _num(1e-3, 1e-2),
+            "seed": st.integers(0, 10).map(str),
+            "ion_start": st.sampled_from(["uniform", "center"]),
+        }),
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_accepted_config_exits_cleanly(experiment, data):
+    """Every accepted config ends in exit 0, 2, 3 or 4, a non-zero exit with
+    one stderr line, and never an uncaught exception."""
+    keys = data.draw(_CONFIGS[experiment], label="config")
+    text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main([experiment, "--config", str(cfg), "--out",
+                         str(Path(tmp) / "out"), "--workers", "1"])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1

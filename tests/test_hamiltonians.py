@@ -5,23 +5,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import effective_two_level
 from superatom.basis import (
     DickeIndex,
     EnsembleSpec,
     dicke_dimension,
+    dicke_position,
     enumerate_dicke,
     symmetrizer,
 )
 from superatom.hamiltonians import (
     TWO_PI,
     LaserParams,
-    UnsupportedRegimeError,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
     build_restricted_hamiltonian,
     dicke_to_dressed,
     dressed_block,
-    effective_two_level,
     resonance_probe_detuning,
     second_order_reduction,
 )
@@ -51,6 +51,8 @@ class TestLaserParams:
         p = LaserParams(1.0, 10.0, 0.0, 0.0)
         q = p.replace(delta_c=-5.0)
         assert q.delta_c == -5.0 and q.omega_c == 10.0
+        with pytest.raises(ValueError):
+            p.replace(omega_c=0.0)  # validated like the constructor
 
 
 class TestHermiticity:
@@ -151,19 +153,15 @@ class TestDressedStates:
 class TestEffectiveModel:
     @pytest.mark.parametrize("n", [2, 3, 4, 10, 100])
     def test_closed_forms(self, n):
+        """The closed forms of the paper, written out, against the reduction."""
         omega_p, omega_c = 2.0, 120.0
         dp = resonance_probe_detuning(omega_c, -omega_c / 2)
         params = LaserParams(omega_p, omega_c, dp, -omega_c / 2)
-        eff = effective_two_level(params, EnsembleSpec(n))
-        assert eff.omega_eff == pytest.approx(
+        omega_eff, delta_eff = second_order_reduction(params, EnsembleSpec(n))
+        assert omega_eff == pytest.approx(
             np.sqrt(2 / 3) * np.sqrt(n * (n - 1)) * omega_p**2 / omega_c
         )
-        assert eff.delta_eff == pytest.approx((2 * n - 7) / 3 * omega_p**2 / omega_c)
-
-    def test_regime_guard(self):
-        params = LaserParams(1.0, 100.0, 0.0, -30.0)
-        with pytest.raises(UnsupportedRegimeError):
-            effective_two_level(params, EnsembleSpec(3))
+        assert delta_eff == pytest.approx((2 * n - 7) / 3 * omega_p**2 / omega_c)
 
     @pytest.mark.parametrize("n", [3, 4, 10, 50])
     def test_numeric_reduction_matches_closed_form(self, n):
@@ -171,19 +169,19 @@ class TestEffectiveModel:
         omega_p, omega_c = 1.5, 90.0
         dp = resonance_probe_detuning(omega_c, -omega_c / 2)
         params = LaserParams(omega_p, omega_c, dp, -omega_c / 2)
-        eff = effective_two_level(params, EnsembleSpec(n))
-        w, sg, s2 = second_order_reduction(params, EnsembleSpec(n))
-        assert w == pytest.approx(eff.omega_eff, rel=1e-10)
-        assert s2 - sg == pytest.approx(eff.delta_eff, rel=1e-9, abs=1e-12)
+        want_w, want_d = effective_two_level(params, EnsembleSpec(n))
+        w, d = second_order_reduction(params, EnsembleSpec(n))
+        assert w == pytest.approx(want_w, rel=1e-10)
+        assert d == pytest.approx(want_d, rel=1e-9, abs=1e-12)
 
     def test_omega_eff_scales_quadratically_in_probe(self):
         omega_c = 100.0
         dp = resonance_probe_detuning(omega_c, -omega_c / 2)
         spec = EnsembleSpec(5)
-        w1, *_ = second_order_reduction(
+        w1, _ = second_order_reduction(
             LaserParams(1.0, omega_c, dp, -omega_c / 2), spec
         )
-        w2, *_ = second_order_reduction(
+        w2, _ = second_order_reduction(
             LaserParams(2.0, omega_c, dp, -omega_c / 2), spec
         )
         assert w2 == pytest.approx(4 * w1, rel=1e-12)
@@ -317,3 +315,88 @@ class TestArrayBuildsMatchLoops:
         h = build_dicke_hamiltonian(params, EnsembleSpec(n))
         rows, cols = np.nonzero(h)
         assert np.all(np.abs(rows - cols) <= 2)
+
+
+# The full-frame reduction and restricted model that the n <= 3 frame
+# replaced, kept as references.
+
+
+def _reference_label_position(spec, label):
+    if label == "G":
+        return 0
+    n, branch = int(label[:-1]), label[-1]
+    if branch == "+":
+        return dicke_position(spec, DickeIndex(n, 0))
+    return dicke_position(spec, DickeIndex(n - 1, 1))
+
+
+def reference_second_order_reduction(params, spec):
+    u = dicke_to_dressed(params, spec)
+    h = u.T @ build_dicke_hamiltonian(params, spec) @ u
+    energies = np.diag(
+        u.T @ build_dicke_hamiltonian(params.replace(omega_p=0.0), spec) @ u
+    )
+    i_g = 0
+    i_2p = _reference_label_position(spec, "2+")
+    omega_eff = 0.0
+    shift_g = 0.0
+    shift_2p = 0.0
+    for k in range(h.shape[0]):
+        if k in (i_g, i_2p):
+            continue
+        if abs(energies[k]) < 1e-12 * params.omega_c:
+            continue
+        omega_eff += 2.0 * h[i_2p, k] * h[k, i_g] / (-energies[k])
+        shift_g += h[i_g, k] ** 2 / (-energies[k])
+        shift_2p += h[i_2p, k] ** 2 / (-energies[k])
+    return abs(omega_eff), shift_2p - shift_g
+
+
+def reference_build_restricted_hamiltonian(params, spec):
+    labels = ("G", "1+", "1-", "2+", "3+", "3-") if spec.n_atoms >= 3 else (
+        "G", "1+", "1-", "2+")
+    u = dicke_to_dressed(params, spec)
+    h_dressed = u.T @ build_dicke_hamiltonian(params, spec) @ u
+    cols = [_reference_label_position(spec, lab) for lab in labels]
+    return labels, h_dressed[np.ix_(cols, cols)], u[:, cols]
+
+
+@st.composite
+def reduction_points(draw):
+    """Laser parameters with delta_c either canonical (-omega_c/2, delta_p at
+    the |2+> resonance) or free, and N = 2-160."""
+    params = draw(laser_params)
+    if draw(st.booleans()):
+        delta_c = -params.omega_c / 2
+        params = params.replace(
+            delta_c=delta_c,
+            delta_p=resonance_probe_detuning(params.omega_c, delta_c),
+        )
+    return params, EnsembleSpec(draw(st.integers(2, 160)))
+
+
+class TestLowFrameMatchesFullFrame:
+    """The n <= 3 dressed frame reproduces the full-frame products bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(reduction_points())
+    @example((LaserParams(1.5, 90.0, 45.0, -45.0), EnsembleSpec(2)))
+    @example((LaserParams(1.5, 90.0, 45.0, -45.0), EnsembleSpec(3)))
+    @example((LaserParams(0.0, 90.0, 45.0, -45.0), EnsembleSpec(160)))
+    def test_second_order_reduction(self, point):
+        params, spec = point
+        assert second_order_reduction(params, spec) == (
+            reference_second_order_reduction(params, spec)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(reduction_points())
+    @example((LaserParams(1.5, 90.0, 45.0, -45.0), EnsembleSpec(2)))
+    @example((LaserParams(1.5, 90.0, 45.0, -45.0), EnsembleSpec(3)))
+    def test_restricted_hamiltonian(self, point):
+        params, spec = point
+        labels, h, cols = reference_build_restricted_hamiltonian(params, spec)
+        rm = build_restricted_hamiltonian(params, spec)
+        assert rm.labels == labels
+        assert np.array_equal(rm.h, h)
+        assert np.array_equal(rm.dicke_columns, cols)
