@@ -58,7 +58,8 @@ def _fmt(x) -> str:
 
 
 def _round12(obj):
-    """Recursively clamp floats to 12 significant digits for JSON output."""
+    """Recursively clamp floats to 12 significant digits for JSON output;
+    a non-finite float (an undefined value) becomes None, written as null."""
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -67,7 +68,7 @@ def _round12(obj):
         return obj
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
-        return v if not np.isfinite(v) else float(f"{v:.12g}")
+        return float(f"{v:.12g}") if np.isfinite(v) else None
     if isinstance(obj, np.integer):
         return int(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
@@ -106,7 +107,7 @@ def write_summary(path: Path, rc, resolved: dict, results: dict) -> None:
         "results": results,
     }
     with open(path, "w") as fh:
-        json.dump(_round12(payload), fh, indent=2)
+        json.dump(_round12(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -70,7 +70,7 @@ def _choice(*opts):
 
 
 _PROTOCOL_BASE = {
-    "n_atoms": Key(_int(1), required=True),
+    "n_atoms": Key(_int(2), required=True),  # |2+> holds two excitations
     "delta_p_mhz": Key(_float()),  # absent -> resonance + compensation
     "pulse_time_us": Key(_float(0, lo_open=True)),
     "n_times": Key(_int(2), default=201),

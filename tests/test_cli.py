@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superatom.cli import _fmt, main
+from superatom.cli import _fmt, _round12, main
 from superatom.config import (
     EXPERIMENTS,
     ConfigError,
@@ -345,6 +345,43 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and message in err[0]
 
+    def test_summary_is_strict_json(self, tmp_path):
+        """Without a ramp field the ion never escapes: the escape time is
+        undefined and written as null, not as the non-JSON Infinity."""
+        text = ("n_trajectories = 2\nn_atoms = 3\nramp_field_max_v_per_m = 0\n"
+                "max_time_ns = 20\n")
+        code, out = run_cli(tmp_path, "ion-mc", text)
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=refuse)
+        assert summary["results"]["escape_time_ns"] is None
+
+    def test_round12_maps_non_finite_to_none(self):
+        got = _round12({"a": [np.inf, -np.inf], "b": np.float64("nan"),
+                        "c": 1 / 3})
+        assert got == {"a": [None, None], "b": None, "c": 0.333333333333}
+
+    @pytest.mark.parametrize("experiment,text", [
+        ("rabi", RABI_CFG.replace("n_atoms = 4", "n_atoms = 1")),
+        ("scan-dc", SCAN_DC_CFG.replace("n_atoms = 3", "n_atoms = 1")),
+        ("scan-oc", "n_atoms = 1\nomega_eff_target_mhz = 0.1\n"),
+        ("lindblad-scan", "n_atoms = 1\nomega_c_mhz = 20\n"
+         "omega_eff_target_mhz = 0.1\nchannel = gamma_e\ngamma_max_mhz = 0.01\n"),
+    ])
+    def test_single_atom_protocol_rejected(self, tmp_path, capsys, experiment,
+                                           text):
+        """The protocol targets |2+>, two excitations: N = 1 is refused
+        while parsing, before any output is written."""
+        code, out = run_cli(tmp_path, experiment, text)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid value for 'n_atoms'" in err[0]
+        assert not out.exists()
+
     def test_jc_demo(self, tmp_path):
         text = (
             "n_atoms = 8\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
@@ -354,6 +391,14 @@ class TestMainEntry:
         assert code == 0
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "time_us,p_ryd"
+
+    def test_jc_demo_single_atom(self, tmp_path):
+        text = (
+            "n_atoms = 1\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
+            "probe_pulse_time_us = 0.2\ntotal_time_us = 1\nn_times = 11\n"
+        )
+        code, _ = run_cli(tmp_path, "jc-demo", text)
+        assert code == 0
 
 
 # Configs the schemas accept, with every knob that sets a run's cost bounded:

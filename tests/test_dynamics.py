@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,14 @@ from superatom.basis import (
     product_basis,
 )
 from superatom.dynamics import (
+    DROP_TOL,
     DecoherenceRates,
     NumericalFailure,
     Trajectory,
     evolve_lindblad,
     lindblad_operators,
     liouvillian,
+    _carrying_indices,
     observables,
     propagate_pure,
 )
@@ -81,6 +85,78 @@ class TestPurePropagation:
         with pytest.raises(NumericalFailure):
             propagate_pure(np.eye(3), psi0, [1.0])
 
+    def test_unnormalized_state_rejected(self):
+        with pytest.raises(NumericalFailure, match="norm"):
+            propagate_pure(np.eye(3), np.array([2.0, 0.0, 0.0], dtype=complex), [1.0])
+
+    def test_negligible_state_rejected(self):
+        """A psi0 whose whole weight is below DROP_TOL**2 propagates to 0,
+        which the norm check refuses."""
+        psi0 = np.full(4, 0.1 * DROP_TOL, dtype=complex)
+        with pytest.raises(NumericalFailure, match="norm"):
+            propagate_pure(np.diag([0.0, 1.0, 2.0, 3.0]), psi0, [1.0])
+
+    @staticmethod
+    def _random_dense(evals, seed):
+        """Dense complex Hermitian H with the given spectrum, and its
+        eigenvectors as columns."""
+        rng = np.random.default_rng(seed)
+        dim = len(evals)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        return (q * np.asarray(evals)) @ q.conj().T, q
+
+    def _check_against_expm(self, h, psi0):
+        times = np.array([0.0, 0.3, 1.7, 12.5])
+        got = propagate_pure(h, psi0, times)
+        want = np.array([expm(-1j * h * t) @ psi0 for t in times])
+        assert np.max(np.abs(got - want)) < 1e-10
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_invariant_subspace_matches_expm(self, seed):
+        """psi0 spans 3 of 12 eigenvectors, so 9 components are dropped."""
+        evals = np.random.default_rng(seed).normal(size=12)
+        h, q = self._random_dense(evals, seed)
+        assert np.any(np.triu(h, 3))  # the dense eigensolver runs
+        psi0 = q[:, [1, 5, 8]] @ np.array([0.6, 0.48j, -0.64])
+        self._check_against_expm(h, psi0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_degenerate_subspace_matches_expm(self, seed):
+        """psi0 lies in a twofold degenerate eigenspace plus one other
+        eigenvector; the eigensolver may return any basis of the pair."""
+        evals = np.array([-1.3, -0.2, 0.4, 0.4, 1.1, 2.0, 2.9, 3.5])
+        h, q = self._random_dense(evals, seed)
+        psi0 = q[:, [2, 3, 6]] @ np.array([0.6, 0.0 + 0.6j, np.sqrt(0.28)])
+        self._check_against_expm(h, psi0)
+
+    def test_single_eigenvector_only_rotates(self):
+        evals = np.linspace(-2.0, 3.0, 10)
+        h, q = self._random_dense(evals, 3)
+        psi0 = q[:, 4]
+        got = self._check_against_expm(h, psi0)
+        times = np.array([0.0, 0.3, 1.7, 12.5])
+        want = np.exp(-1j * evals[4] * times)[:, None] * psi0
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_peak_allocation_near_output_size(self):
+        """From |G> at N=8 (dim 1280, 4,000 times) only the symmetric
+        eigencomponents are propagated, so no (T, dim) temporary besides
+        the returned array is allocated."""
+        spec = EnsembleSpec(8)
+        h = build_product_hamiltonian(LaserParams(1.9, 628.0, 0.0, -314.0), spec)
+        psi0 = np.zeros(h.shape[0], dtype=complex)
+        psi0[product_basis(spec).index[(0,) * 8]] = 1.0
+        times = np.linspace(0.0, 5.0, 4000)
+        tracemalloc.start()
+        try:
+            states = propagate_pure(h, psi0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (4000, 1280)
+        assert peak <= 1.5 * states.nbytes
+
     def test_eigensolver_failure_is_numerical(self, monkeypatch):
         def fail(_h):
             raise np.linalg.LinAlgError("did not converge")
@@ -89,6 +165,48 @@ class TestPurePropagation:
         h = np.ones((5, 5))  # full, so the dense solver runs
         with pytest.raises(NumericalFailure, match="did not converge"):
             propagate_pure(h, np.eye(5, dtype=complex)[0], [1.0])
+
+
+class TestCarryingIndices:
+    """The components kept by propagate_pure: the dropped ones are the
+    smallest and sum to at most DROP_TOL**2, and no fewer could be kept."""
+
+    @staticmethod
+    def _check(weights):
+        keep = _carrying_indices(weights)
+        dropped = np.setdiff1d(np.arange(len(weights)), keep)
+        assert np.all(np.diff(keep) > 0)
+        assert weights[dropped].sum() <= DROP_TOL**2
+        if len(dropped) and len(keep):
+            assert weights[dropped].max() <= weights[keep].min()
+        if len(keep):  # dropping one more would break the bound
+            assert weights[dropped].sum() + weights[keep].min() > DROP_TOL**2
+        return keep
+
+    def test_spread_evenly_keeps_all(self):
+        for dim in (1, 2, 17, 1280):
+            keep = self._check(np.full(dim, 1.0 / dim))
+            assert np.array_equal(keep, np.arange(dim))
+
+    def test_many_small_weights_are_summed(self):
+        """100 weights of DROP_TOL**2 / 2 each: only two of them fit under
+        the bound together, so 98 are kept."""
+        weights = np.full(103, 0.5 * DROP_TOL**2)
+        weights[[4, 50, 99]] = [0.5, 0.3, 0.2]
+        keep = self._check(weights)
+        assert len(keep) == 101
+
+    def test_exact_zeros_dropped(self):
+        weights = np.zeros(9)
+        weights[[2, 7]] = [0.25, 0.75]
+        assert np.array_equal(self._check(weights), [2, 7])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_random_weights(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(dim) * 10.0 ** rng.integers(-34, 0, size=dim)
+        self._check(weights / weights.sum())
 
 
 def _random_pentadiagonal(dim, seed):
