@@ -96,30 +96,35 @@ class TestPurePropagation:
         with pytest.raises(NumericalFailure, match="norm"):
             propagate_pure(np.diag([0.0, 1.0, 2.0, 3.0]), psi0, [1.0])
 
+    EXPM_TIMES = np.array([0.0, 0.3, 1.7, 12.5])
+
     @staticmethod
     def _random_dense(evals, seed):
         """Dense complex Hermitian H with the given spectrum, and its
         eigenvectors as columns."""
         rng = np.random.default_rng(seed)
         dim = len(evals)
-        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(a)
         return (q * np.asarray(evals)) @ q.conj().T, q
 
-    def _check_against_expm(self, h, psi0):
-        times = np.array([0.0, 0.3, 1.7, 12.5])
-        got = propagate_pure(h, psi0, times)
-        want = np.array([expm(-1j * h * t) @ psi0 for t in times])
+    def _check_against_expm(self, h, psi0, n_kept):
+        """propagate_pure keeps n_kept components and matches exp(-iHt)."""
+        weights = np.abs(np.linalg.eigh(h)[1].conj().T @ psi0) ** 2
+        assert len(_carrying_indices(weights)) == n_kept
+        got = propagate_pure(h, psi0, self.EXPM_TIMES)
+        want = np.array([expm(-1j * h * t) @ psi0 for t in self.EXPM_TIMES])
         assert np.max(np.abs(got - want)) < 1e-10
         return got
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_invariant_subspace_matches_expm(self, seed):
-        """psi0 spans 3 of 12 eigenvectors, so 9 components are dropped."""
+        """psi0 spans 3 of 12 eigenvectors; the other 9 are dropped."""
         evals = np.random.default_rng(seed).normal(size=12)
         h, q = self._random_dense(evals, seed)
         assert np.any(np.triu(h, 3))  # the dense eigensolver runs
         psi0 = q[:, [1, 5, 8]] @ np.array([0.6, 0.48j, -0.64])
-        self._check_against_expm(h, psi0)
+        self._check_against_expm(h, psi0, n_kept=3)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_degenerate_subspace_matches_expm(self, seed):
@@ -127,16 +132,15 @@ class TestPurePropagation:
         eigenvector; the eigensolver may return any basis of the pair."""
         evals = np.array([-1.3, -0.2, 0.4, 0.4, 1.1, 2.0, 2.9, 3.5])
         h, q = self._random_dense(evals, seed)
-        psi0 = q[:, [2, 3, 6]] @ np.array([0.6, 0.0 + 0.6j, np.sqrt(0.28)])
-        self._check_against_expm(h, psi0)
+        psi0 = q[:, [2, 3, 6]] @ np.array([0.6, 0.6j, np.sqrt(0.28)])
+        self._check_against_expm(h, psi0, n_kept=3)
 
     def test_single_eigenvector_only_rotates(self):
         evals = np.linspace(-2.0, 3.0, 10)
         h, q = self._random_dense(evals, 3)
         psi0 = q[:, 4]
-        got = self._check_against_expm(h, psi0)
-        times = np.array([0.0, 0.3, 1.7, 12.5])
-        want = np.exp(-1j * evals[4] * times)[:, None] * psi0
+        got = self._check_against_expm(h, psi0, n_kept=1)
+        want = np.exp(-1j * evals[4] * self.EXPM_TIMES)[:, None] * psi0
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_peak_allocation_near_output_size(self):
