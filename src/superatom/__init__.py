@@ -26,7 +26,6 @@ from .dynamics import (
     Trajectory,
     evolve_lindblad,
     lindblad_operators,
-    observables,
     propagate_pure,
 )
 from .hamiltonians import (

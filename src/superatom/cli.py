@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -31,6 +32,7 @@ from .ion_escape import simulate_escape
 from .protocol import (
     PoissonEnsemble,
     collapse_revival_demo,
+    herald_infidelity,
     poisson_average,
     resolve_protocol,
     run_protocol,
@@ -40,7 +42,6 @@ from .protocol import (
 )
 
 TRAJECTORY_COLUMNS = ("p_G", "p_E", "p_R", "p_E2", "p_ER", "p_ryd")
-INFIDELITY_EPS = 1e-12
 
 
 def _fmt(x) -> str:
@@ -52,7 +53,7 @@ def _fmt(x) -> str:
     if isinstance(x, str):
         return x
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
     return f"{x:.12g}"
 
@@ -90,9 +91,9 @@ def write_trajectory(path: Path, traj: Trajectory) -> None:
     for k, t in enumerate(traj.times):
         row = [t] + [traj.populations[c][k] for c in cols]
         if has_infid:
-            p_ryd = traj.populations["p_ryd"][k]
-            p_er = traj.populations["p_ER"][k]
-            row.append(None if p_ryd <= INFIDELITY_EPS else (p_ryd - p_er) / p_ryd)
+            row.append(herald_infidelity(
+                traj.populations["p_ryd"][k], traj.populations["p_ER"][k]
+            ))
         rows.append(row)
     write_csv(path, header, rows)
 

@@ -30,13 +30,9 @@ from .basis import (
     LEVEL_R,
     BasisError,
     CapacityError,
-    DickeIndex,
     EnsembleSpec,
     N_MAX_PRODUCT_DENSITY,
     dicke_dimension,
-    dicke_labels,
-    dicke_position,
-    dicke_vector,
     product_basis,
     symmetrizer,
 )
@@ -48,6 +44,12 @@ HERM_TOL = 1e-8
 POSITIVITY_TOL = 1e-6
 LINDBLAD_RTOL = 1e-8  # DOP853 tolerances of the master equation
 LINDBLAD_ATOL = 1e-10
+# capacity of evolve_lindblad: the larger of the N=64 Dicke chain and the
+# N_MAX_PRODUCT_DENSITY product basis
+LINDBLAD_MAX_DIM = max(
+    dicke_dimension(64),
+    2**N_MAX_PRODUCT_DENSITY + N_MAX_PRODUCT_DENSITY * 2 ** (N_MAX_PRODUCT_DENSITY - 1),
+)
 
 
 class NumericalFailure(RuntimeError):
@@ -74,12 +76,9 @@ class DecoherenceRates:
                 raise ValueError(f"{name} must be >= 0")
 
     @property
-    def any_single_atom(self) -> bool:
-        return self.gamma_e > 0 or self.gamma_r > 0 or self.gamma_d > 0
-
-    @property
     def all_zero(self) -> bool:
-        return not self.any_single_atom and self.gamma_coll == 0
+        single_atom = self.gamma_e > 0 or self.gamma_r > 0 or self.gamma_d > 0
+        return not single_atom and self.gamma_coll == 0
 
 
 @dataclass
@@ -88,7 +87,6 @@ class Trajectory:
 
     times: np.ndarray
     populations: dict = field(default_factory=dict)
-    norm_or_trace: np.ndarray | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -159,49 +157,37 @@ def propagate_pure(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
 
 
 def lindblad_operators(
-    rates: DecoherenceRates, spec: EnsembleSpec, basis: str
+    rates: DecoherenceRates, spec: EnsembleSpec
 ) -> list[tuple[float, np.ndarray]]:
-    """Jump operators as (rate, matrix) pairs in the requested basis.
+    """Jump operators as (rate, matrix) pairs in the product basis.
 
-    Single-atom channels (gamma_e, gamma_r, gamma_d) individually break the
-    exchange symmetry and require the product basis; collective dephasing
-    alone is diagonal in the Dicke basis and is allowed there.
+    Single-atom channels (gamma_e, gamma_r, gamma_d) act on one atom each
+    and break the exchange symmetry; collective dephasing projects onto
+    each symmetric Dicke state.
     """
-    if rates.any_single_atom and basis != "product":
-        raise BasisError("single-atom decoherence channels require the product basis")
     ops: list[tuple[float, np.ndarray]] = []
-    if basis == "product":
-        pb = product_basis(spec)
-        single = {
-            "gamma_e": (LEVEL_E, LEVEL_G),  # |g><e|
-            "gamma_r": (LEVEL_R, LEVEL_E),  # |e><r|
-            "gamma_d": (LEVEL_R, LEVEL_R),  # |r><r|
-        }
-        for name, (src, dst) in single.items():
-            rate = getattr(rates, name)
-            if rate <= 0:
-                continue
-            for k in range(spec.n_atoms):
-                op = np.zeros((pb.dim, pb.dim))
-                for i, c in enumerate(pb.states):
-                    if c[k] == src:
-                        target = c[:k] + (dst,) + c[k + 1 :]
-                        op[pb.index[target], i] = 1.0
-                ops.append((rate, op))
-        if rates.gamma_coll > 0:
-            S = symmetrizer(spec)
-            for col in range(S.shape[1]):
-                v = S[:, col]
-                ops.append((rates.gamma_coll, np.outer(v, v)))
-    elif basis == "dicke":
-        if rates.gamma_coll > 0:
-            dim = dicke_dimension(spec.n_atoms)
-            for a in range(dim):
-                op = np.zeros((dim, dim))
-                op[a, a] = 1.0
-                ops.append((rates.gamma_coll, op))
-    else:
-        raise BasisError(f"unsupported basis for Lindblad operators: {basis!r}")
+    pb = product_basis(spec)
+    single = {
+        "gamma_e": (LEVEL_E, LEVEL_G),  # |g><e|
+        "gamma_r": (LEVEL_R, LEVEL_E),  # |e><r|
+        "gamma_d": (LEVEL_R, LEVEL_R),  # |r><r|
+    }
+    for name, (src, dst) in single.items():
+        rate = getattr(rates, name)
+        if rate <= 0:
+            continue
+        for k in range(spec.n_atoms):
+            op = np.zeros((pb.dim, pb.dim))
+            for i, c in enumerate(pb.states):
+                if c[k] == src:
+                    target = c[:k] + (dst,) + c[k + 1 :]
+                    op[pb.index[target], i] = 1.0
+            ops.append((rate, op))
+    if rates.gamma_coll > 0:
+        S = symmetrizer(spec)
+        for col in range(S.shape[1]):
+            v = S[:, col]
+            ops.append((rates.gamma_coll, np.outer(v, v)))
     return ops
 
 
@@ -237,7 +223,6 @@ def evolve_lindblad(
     jumps: list[tuple[float, np.ndarray]],
     rho0: np.ndarray,
     times,
-    max_dim: int | None = None,
 ) -> np.ndarray:
     """Integrate the master equation; returns (T, dim, dim) density matrices.
 
@@ -245,13 +230,10 @@ def evolve_lindblad(
     """
     times = np.asarray(times, dtype=float)
     dim = h.shape[0]
-    if max_dim is None:
-        max_dim = max(
-            dicke_dimension(64), 2 ** N_MAX_PRODUCT_DENSITY
-            + N_MAX_PRODUCT_DENSITY * 2 ** (N_MAX_PRODUCT_DENSITY - 1)
+    if dim > LINDBLAD_MAX_DIM:
+        raise CapacityError(
+            f"Lindblad dimension {dim} exceeds capacity {LINDBLAD_MAX_DIM}"
         )
-    if dim > max_dim:
-        raise CapacityError(f"Lindblad dimension {dim} exceeds capacity {max_dim}")
     if rho0.shape != (dim, dim):
         raise BasisError(f"rho0 shape {rho0.shape} incompatible with H {h.shape}")
 
@@ -282,71 +264,3 @@ def evolve_lindblad(
         if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -POSITIVITY_TOL:
             raise NumericalFailure(f"positivity violated at t={times[k]}")
     return rhos
-
-
-@dataclass
-class Observables:
-    """Herald-related populations of a single state or density matrix."""
-
-    p_rydberg: float
-    p_er: float
-    p_g: float
-    p_e2: float
-    infidelity_fraction: float | None  # None: undefined (no Rydberg population)
-
-
-UNDEFINED_FIDELITY_EPS = 1e-12
-
-
-def observables(
-    state: np.ndarray, spec: EnsembleSpec, basis: str, eps: float = UNDEFINED_FIDELITY_EPS
-) -> Observables:
-    """Success/fidelity observables in the product or Dicke basis.
-
-    p_rydberg is the total population with one atom in r, p_er the
-    population of the symmetric |ER> state.  The false-herald fraction
-    (p_rydberg - p_er)/p_rydberg is None when p_rydberg <= eps.
-    """
-    if basis == "product":
-        pb = product_basis(spec)
-        counts = pb.excitation_counts()
-        if state.ndim == 2:
-            pops = np.diag(state).real
-        else:
-            pops = np.abs(state) ** 2
-        p_ryd = float(pops[counts[:, 1] == 1].sum())
-
-        def _overlap_pop(vec):
-            if vec is None:
-                return 0.0
-            if state.ndim == 2:
-                return float((vec @ state @ vec).real)
-            return float(np.abs(vec @ state) ** 2)
-
-        er = dicke_vector(spec, DickeIndex(1, 1)) if spec.n_atoms >= 2 else None
-        e2 = dicke_vector(spec, DickeIndex(2, 0)) if spec.n_atoms >= 2 else None
-        p_er = _overlap_pop(er)
-        p_e2 = _overlap_pop(e2)
-        p_g = float(pops[pb.index[(LEVEL_G,) * spec.n_atoms]])
-    elif basis == "dicke":
-        if state.ndim == 2:
-            pops = np.diag(state).real
-        else:
-            pops = np.abs(state) ** 2
-        _, s = dicke_labels(spec.n_atoms)
-        p_ryd = float(pops[s == 1].sum())
-        p_er = (
-            float(pops[dicke_position(spec, DickeIndex(1, 1))])
-            if spec.n_atoms >= 2
-            else 0.0
-        )
-        p_g = float(pops[0])
-        p_e2 = (
-            float(pops[dicke_position(spec, DickeIndex(2, 0))])
-            if spec.n_atoms >= 2
-            else 0.0
-        )
-    else:
-        raise BasisError(f"observables undefined for basis {basis!r}")
-    infid = None if p_ryd <= eps else (p_ryd - p_er) / p_ryd
-    return Observables(p_ryd, p_er, p_g, p_e2, infid)

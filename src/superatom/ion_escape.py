@@ -102,18 +102,19 @@ def ballistic_escape_time(cfg: IonEscapeConfig) -> float:
     During the ramp the acceleration is a(t) = qE_max t / (m tau), so
     x(t) = qE_max t^3 / (6 m tau); invert for x = trap_diameter.
     """
-    if cfg.ramp_field_max == 0:
+    force = E_CHARGE * cfg.ramp_field_max  # 0 also when a subnormal field underflows
+    if force == 0:
         return NO_ESCAPE
     m = cfg.ion_mass * AMU
     tau = cfg.ramp_time * 1e-9
     d = cfg.trap_diameter * 1e-6
-    t = (6.0 * m * tau * d / (E_CHARGE * cfg.ramp_field_max)) ** (1.0 / 3.0)
+    t = (6.0 * m * tau * d / force) ** (1.0 / 3.0)
     if t <= tau:
         return t * 1e9
     # past the ramp the field is constant; continue with matched x, v
-    x_tau = E_CHARGE * cfg.ramp_field_max * tau**2 / (6.0 * m)
-    v_tau = E_CHARGE * cfg.ramp_field_max * tau / (2.0 * m)
-    a = E_CHARGE * cfg.ramp_field_max / m
+    x_tau = force * tau**2 / (6.0 * m)
+    v_tau = force * tau / (2.0 * m)
+    a = force / m
     dt = (-v_tau + np.sqrt(v_tau**2 + 2.0 * a * (d - x_tau))) / a
     return (tau + dt) * 1e9
 

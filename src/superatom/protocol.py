@@ -30,11 +30,9 @@ from .basis import (
 from .dynamics import (
     DecoherenceRates,
     NumericalFailure,
-    Observables,
     Trajectory,
     evolve_lindblad,
     lindblad_operators,
-    observables,
     propagate_pure,
 )
 from .hamiltonians import (
@@ -48,6 +46,7 @@ from .hamiltonians import (
 )
 
 MODELS = ("full", "dicke", "restricted6", "effective2", "lindblad")
+NO_HERALD_EPS = 1e-12  # Rydberg population at or below which no ion is heralded
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,7 @@ class ProtocolResult:
     success_probability: float
     infidelity: float | None
     trajectory: Trajectory
-    model_tag: str
     resolved: ResolvedProtocol
-    final_observables: Observables | None = None
 
 
 def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
@@ -135,23 +132,54 @@ def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
 AUTO_DELTA_P = float("nan")
 
 
-def _trajectory_from_dicke(
-    states: np.ndarray, times: np.ndarray, spec: EnsembleSpec, two_plus_vec: np.ndarray
-) -> Trajectory:
-    pops = np.abs(states) ** 2
-    _, s = dicke_labels(spec.n_atoms)
-    data = {
+def herald_infidelity(p_ryd, p_er):
+    """False-herald fraction: the share of the Rydberg population outside
+    |ER>; None (undefined) when p_ryd <= NO_HERALD_EPS."""
+    return None if p_ryd <= NO_HERALD_EPS else (p_ryd - p_er) / p_ryd
+
+
+def _herald_trajectory(times, spec, pops, p_ryd, p_2plus) -> Trajectory:
+    """The readout every model shares, from Dicke populations (T, 2N+1), the
+    total Rydberg population (T,) and the |2+> population (T,)."""
+
+    def pop(j, s):
+        return pops[:, dicke_position(spec, DickeIndex(j, s))]
+
+    return Trajectory(times=times, populations={
         "p_G": pops[:, 0],
-        "p_ryd": pops[:, s == 1].sum(axis=1),
-        "p_2plus": np.abs(states @ two_plus_vec.conj()) ** 2,
-        "p_R": pops[:, dicke_position(spec, DickeIndex(0, 1))],
-    }
-    if spec.n_atoms >= 2:
-        data["p_E"] = pops[:, dicke_position(spec, DickeIndex(1, 0))]
-        data["p_ER"] = pops[:, dicke_position(spec, DickeIndex(1, 1))]
-        data["p_E2"] = pops[:, dicke_position(spec, DickeIndex(2, 0))]
-    norm = pops.sum(axis=1)
-    return Trajectory(times=times, populations=data, norm_or_trace=norm)
+        "p_E": pop(1, 0),
+        "p_R": pop(0, 1),
+        "p_E2": pop(2, 0),
+        "p_ER": pop(1, 1),
+        "p_ryd": p_ryd,
+        "p_2plus": p_2plus,
+    })
+
+
+def _pure_readout(times, spec, amps, two_plus) -> Trajectory:
+    """Readout of pure states given by their Dicke amplitudes (T, 2N+1)."""
+    pops = np.abs(amps) ** 2
+    _, s = dicke_labels(spec.n_atoms)
+    return _herald_trajectory(
+        times, spec, pops, pops[:, s == 1].sum(axis=1), np.abs(amps @ two_plus) ** 2
+    )
+
+
+def _density_readout(times, spec, rhos, two_plus) -> Trajectory:
+    """Readout of product-basis density matrices (T, dim, dim).
+
+    Single-atom decay leaves the symmetric subspace, so the herald counts
+    the Rydberg population of every product state; the rest is read from
+    the Dicke block S^T rho S.
+    """
+    ryd = product_basis(spec).excitation_counts()[:, 1] == 1
+    S = symmetrizer(spec)
+    rho_d = S.T @ rhos @ S
+    return _herald_trajectory(
+        times, spec, np.einsum("taa->ta", rho_d).real,
+        np.einsum("tii->ti", rhos).real[:, ryd].sum(axis=1),
+        (two_plus @ rho_d @ two_plus).real,
+    )
 
 
 def _two_plus_dicke_vector(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
@@ -161,6 +189,27 @@ def _two_plus_dicke_vector(params: LaserParams, spec: EnsembleSpec) -> np.ndarra
     vec[[dicke_position(spec, DickeIndex(2, 0)),
          dicke_position(spec, DickeIndex(1, 1))]] = plus.composition
     return vec
+
+
+def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
+    """(H, position of |G>, columns mapping its amplitudes to Dicke
+    amplitudes, or None for the Dicke model: no identity product)."""
+    spec, params = res.spec, res.params
+    if model == "dicke":
+        return build_dicke_hamiltonian(params, spec), 0, None
+    if model == "full":
+        g = product_basis(spec).index[(0,) * spec.n_atoms]
+        return build_product_hamiltonian(params, spec), g, symmetrizer(spec)
+    if model == "restricted6":
+        rm = build_restricted_hamiltonian(params, spec)
+        return rm.h, 0, rm.dicke_columns.T
+    # effective2: two-level model in the {|G>, |2+>} frame; residual detuning
+    # from the difference between the configured delta_p and exact compensation
+    d_resid = -2.0 * (params.delta_p - res.delta_p_resonance) + res.delta_eff
+    h2 = np.array([[0.0, res.omega_eff / 2.0], [res.omega_eff / 2.0, d_resid]])
+    ground = np.zeros_like(two_plus)
+    ground[0] = 1.0
+    return h2, 0, np.array([ground, two_plus])
 
 
 def run_protocol(
@@ -179,96 +228,33 @@ def run_protocol(
     times = np.linspace(0.0, res.pulse_time, n_times)[1:]
     two_plus = _two_plus_dicke_vector(params, spec)
 
-    if model == "dicke":
-        h = build_dicke_hamiltonian(params, spec)
+    if model == "lindblad":
+        pb = product_basis(spec)
+        g = pb.index[(0,) * spec.n_atoms]
+        rho0 = np.zeros((pb.dim, pb.dim), dtype=complex)
+        rho0[g, g] = 1.0
+        rhos = evolve_lindblad(
+            build_product_hamiltonian(params, spec),
+            lindblad_operators(res.rates, spec),
+            rho0,
+            times,
+        )
+        traj = _density_readout(times, spec, rhos, two_plus)
+    else:
+        h, g, columns = _pure_model(model, res, two_plus)
         psi0 = np.zeros(h.shape[0], dtype=complex)
-        psi0[0] = 1.0
-        states = propagate_pure(h, psi0, times)
-        traj = _trajectory_from_dicke(states, times, spec, two_plus)
-        obs = observables(states[-1], spec, "dicke")
-    elif model == "full":
-        pb = product_basis(spec)
-        h = build_product_hamiltonian(params, spec)
-        psi0 = np.zeros(pb.dim, dtype=complex)
-        psi0[pb.index[(0,) * spec.n_atoms]] = 1.0
-        states = propagate_pure(h, psi0, times)
-        # report through Dicke-projected populations (the dynamics is symmetric)
-        S = symmetrizer(spec)
-        dicke_states = states @ S.conj()
-        traj = _trajectory_from_dicke(dicke_states, times, spec, two_plus)
-        obs = observables(states[-1], spec, "product")
-    elif model == "restricted6":
-        rm = build_restricted_hamiltonian(params, spec)
-        psi0 = np.zeros(rm.h.shape[0], dtype=complex)
-        psi0[0] = 1.0
-        states = propagate_pure(rm.h, psi0, times)
-        dicke_states = states @ rm.dicke_columns.T
-        traj = _trajectory_from_dicke(dicke_states, times, spec, two_plus)
-        obs = observables(dicke_states[-1], spec, "dicke")
-    elif model == "effective2":
-        # two-level model in the {|G>, |2+>} frame; residual detuning from
-        # the difference between the configured delta_p and exact compensation
-        d_resid = -2.0 * (params.delta_p - res.delta_p_resonance) + res.delta_eff
-        h2 = np.array([[0.0, res.omega_eff / 2.0], [res.omega_eff / 2.0, d_resid]])
-        psi0 = np.array([1.0, 0.0], dtype=complex)
-        states = propagate_pure(h2, psi0, times)
-        p2 = np.abs(states[:, 1]) ** 2
-        w_ryd = float(two_plus[dicke_position(spec, DickeIndex(1, 1))] ** 2)
-        traj = Trajectory(
-            times=times,
-            populations={
-                "p_G": np.abs(states[:, 0]) ** 2,
-                "p_2plus": p2,
-                "p_ryd": w_ryd * p2,
-                "p_ER": w_ryd * p2,
-            },
-            norm_or_trace=(np.abs(states) ** 2).sum(axis=1),
-        )
-        p_ryd = float(w_ryd * p2[-1])
-        obs = Observables(p_ryd, p_ryd, float(np.abs(states[-1, 0]) ** 2),
-                          float(two_plus[dicke_position(spec, DickeIndex(2, 0))] ** 2
-                                * p2[-1]),
-                          0.0 if p_ryd > 1e-12 else None)
-    else:  # lindblad
-        pb = product_basis(spec)
-        h = build_product_hamiltonian(params, spec)
-        jumps = lindblad_operators(res.rates, spec, "product")
-        psi0 = np.zeros(pb.dim, dtype=complex)
-        psi0[pb.index[(0,) * spec.n_atoms]] = 1.0
-        rho0 = np.outer(psi0, psi0.conj())
-        rhos = evolve_lindblad(h, jumps, rho0, times)
-        S = symmetrizer(spec)
-        counts = pb.excitation_counts()
-        ryd_mask = counts[:, 1] == 1
-        pops_d = np.einsum("ia,tij,jb->tab", S, rhos, S).real
-        diag_d = np.einsum("taa->ta", pops_d)
-        diag_p = np.einsum("tii->ti", rhos).real
-        two_plus_prod = S @ two_plus
-        data = {
-            "p_G": diag_p[:, pb.index[(0,) * spec.n_atoms]],
-            "p_ryd": diag_p[:, ryd_mask].sum(axis=1),
-            "p_R": diag_d[:, dicke_position(spec, DickeIndex(0, 1))],
-            "p_2plus": np.einsum(
-                "i,tij,j->t", two_plus_prod, rhos, two_plus_prod
-            ).real,
-        }
-        if spec.n_atoms >= 2:
-            data["p_ER"] = diag_d[:, dicke_position(spec, DickeIndex(1, 1))]
-            data["p_E2"] = diag_d[:, dicke_position(spec, DickeIndex(2, 0))]
-        traj = Trajectory(
-            times=times,
-            populations=data,
-            norm_or_trace=np.einsum("tii->t", rhos).real,
-        )
-        obs = observables(rhos[-1], spec, "product")
+        psi0[g] = 1.0
+        amps = propagate_pure(h, psi0, times)
+        if columns is not None:
+            amps = amps @ columns
+        traj = _pure_readout(times, spec, amps, two_plus)
 
+    p_ryd, p_er = (float(traj.populations[k][-1]) for k in ("p_ryd", "p_ER"))
     return ProtocolResult(
-        success_probability=obs.p_rydberg,
-        infidelity=obs.infidelity_fraction,
+        success_probability=p_ryd,
+        infidelity=herald_infidelity(p_ryd, p_er),
         trajectory=traj,
-        model_tag=model,
         resolved=res,
-        final_observables=obs,
     )
 
 
@@ -562,9 +548,7 @@ def collapse_revival_demo(
     states = propagate_pure(h2, psi1, times)
     pops = np.abs(states) ** 2
     _, s = dicke_labels(spec.n_atoms)
-    p_ryd = pops[:, s == 1].sum(axis=1)
     return Trajectory(
         times=np.asarray(times, dtype=float),
-        populations={"p_ryd": p_ryd},
-        norm_or_trace=pops.sum(axis=1),
+        populations={"p_ryd": pops[:, s == 1].sum(axis=1)},
     )

@@ -279,7 +279,7 @@ def test_criterion_8_oracle_equivalences():
     p_e = np.abs(propagate_pure(h1, psi, ts)[:, pb1.index[(1,)]]) ** 2
     rabi_dev = float(np.max(np.abs(p_e - np.sin(omega_p * ts / 2) ** 2)))
     gamma = 1.3
-    jumps = lindblad_operators(DecoherenceRates(gamma_e=gamma), spec1, "product")
+    jumps = lindblad_operators(DecoherenceRates(gamma_e=gamma), spec1)
     rho_e = np.zeros((pb1.dim, pb1.dim), dtype=complex)
     rho_e[pb1.index[(1,)], pb1.index[(1,)]] = 1.0
     td = np.linspace(0.1, 2.0, 10)

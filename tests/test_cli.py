@@ -220,6 +220,18 @@ class TestMainEntry:
         curve = (out / "scan.csv").read_text().splitlines()
         assert curve[0] == "phase_threshold_rad,fraction_significant"
 
+    @pytest.mark.parametrize("field", ["5e-324", "1e-310"])
+    def test_ion_mc_subnormal_ramp_field(self, tmp_path, field):
+        """A field so weak that q*E underflows to 0 exerts no force: no escape."""
+        text = (
+            f"n_trajectories = 1\nramp_field_max_v_per_m = {field}\n"
+            "max_time_ns = 1.0\n"
+        )
+        code, out = run_cli(tmp_path, "ion-mc", text)
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["results"]["escape_time_ns"] is None
+
     def test_config_error_exit_code(self, tmp_path):
         code, _ = run_cli(tmp_path, "rabi", "nonsense = 1\n")
         assert code == 2

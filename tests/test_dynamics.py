@@ -12,8 +12,9 @@ from superatom.basis import (
     CapacityError,
     DickeIndex,
     EnsembleSpec,
-    dicke_vector,
+    dicke_position,
     product_basis,
+    symmetrizer,
 )
 from superatom.dynamics import (
     DROP_TOL,
@@ -24,13 +25,18 @@ from superatom.dynamics import (
     lindblad_operators,
     liouvillian,
     _carrying_indices,
-    observables,
     propagate_pure,
 )
 from superatom.hamiltonians import (
     LaserParams,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
+)
+from superatom.protocol import (
+    NO_HERALD_EPS,
+    _density_readout,
+    _pure_readout,
+    herald_infidelity,
 )
 
 
@@ -289,34 +295,28 @@ class TestBandedPropagation:
 
 class TestLindbladOperators:
     def test_all_zero_rates_empty(self):
-        assert lindblad_operators(DecoherenceRates(), EnsembleSpec(3), "product") == []
+        assert lindblad_operators(DecoherenceRates(), EnsembleSpec(3)) == []
 
     def test_collective_projector_count(self):
-        ops = lindblad_operators(
-            DecoherenceRates(gamma_coll=1.0), EnsembleSpec(3), "dicke"
-        )
+        """One rank-1 projector per Dicke state (2N+1 = 7 at N=3)."""
+        ops = lindblad_operators(DecoherenceRates(gamma_coll=1.0), EnsembleSpec(3))
         assert len(ops) == 7
         for _, op in ops:
             assert np.allclose(op @ op, op)  # projectors
+            assert np.linalg.matrix_rank(op) == 1
 
     def test_single_atom_counts_and_ranks(self):
         """One operator per atom; ranks by explicit construction (N=3):
         |g><e| acts on the 8 configurations with the atom in e (rank 8),
         |e><r| on the 4 with the atom in r (rank 4)."""
         spec = EnsembleSpec(3)
-        ops_e = lindblad_operators(DecoherenceRates(gamma_e=1.0), spec, "product")
-        ops_r = lindblad_operators(DecoherenceRates(gamma_r=1.0), spec, "product")
+        ops_e = lindblad_operators(DecoherenceRates(gamma_e=1.0), spec)
+        ops_r = lindblad_operators(DecoherenceRates(gamma_r=1.0), spec)
         assert len(ops_e) == 3 and len(ops_r) == 3
         for _, op in ops_e:
             assert np.linalg.matrix_rank(op) == 8
         for _, op in ops_r:
             assert np.linalg.matrix_rank(op) == 4
-
-    def test_single_atom_requires_product_basis(self):
-        with pytest.raises(BasisError):
-            lindblad_operators(
-                DecoherenceRates(gamma_e=1.0), EnsembleSpec(3), "dicke"
-            )
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -354,14 +354,15 @@ class TestLiouvillian:
         rates = DecoherenceRates(
             gamma_e=0.6, gamma_r=0.3, gamma_d=0.2, gamma_coll=0.4
         )
-        jumps = lindblad_operators(rates, spec, "product")
+        jumps = lindblad_operators(rates, spec)
         assert len(jumps) == 3 * n_atoms + 2 * n_atoms + 1
         self._check(h, jumps, seed=n_atoms)
 
     def test_dicke_basis_collective_dephasing(self):
         spec = EnsembleSpec(4)
         h = build_dicke_hamiltonian(LaserParams(1.5, 4.0, 0.7, -2.0), spec)
-        jumps = lindblad_operators(DecoherenceRates(gamma_coll=0.5), spec, "dicke")
+        # collective dephasing: a projector onto each Dicke state
+        jumps = [(0.5, np.diag(e)) for e in np.eye(h.shape[0])]
         self._check(h, jumps, seed=11)
 
 
@@ -389,7 +390,7 @@ class TestLindbladEvolution:
         spec = EnsembleSpec(1)
         pb = product_basis(spec)
         gamma = 1.7
-        jumps = lindblad_operators(DecoherenceRates(gamma_e=gamma), spec, "product")
+        jumps = lindblad_operators(DecoherenceRates(gamma_e=gamma), spec)
         h = np.zeros((pb.dim, pb.dim))
         rho0 = np.zeros((pb.dim, pb.dim), dtype=complex)
         rho0[pb.index[(1,)], pb.index[(1,)]] = 1.0
@@ -403,7 +404,7 @@ class TestLindbladEvolution:
         params = LaserParams(1.0, 10.0, 0.5, -5.0)
         h = build_product_hamiltonian(params, spec)
         jumps = lindblad_operators(
-            DecoherenceRates(gamma_e=0.3, gamma_r=0.1), spec, "product"
+            DecoherenceRates(gamma_e=0.3, gamma_r=0.1), spec
         )
         pb = product_basis(spec)
         rho1 = np.zeros((pb.dim, pb.dim), dtype=complex)
@@ -424,7 +425,7 @@ class TestLindbladEvolution:
         params = LaserParams(1.5, 20.0, 2.0, -10.0)
         h = build_product_hamiltonian(params, spec)
         jumps = lindblad_operators(
-            DecoherenceRates(gamma_e=0.2, gamma_d=0.05), spec, "product"
+            DecoherenceRates(gamma_e=0.2, gamma_d=0.05), spec
         )
         _, rho0 = self._pure_rho(spec)
         times = np.linspace(0.2, 1.0, 5)
@@ -441,7 +442,6 @@ class TestLindbladEvolution:
                 [],
                 np.eye(dim, dtype=complex) / dim,
                 [1.0],
-                max_dim=100,
             )
 
     def test_shape_mismatch(self):
@@ -450,61 +450,85 @@ class TestLindbladEvolution:
 
 
 class TestObservables:
+    """The herald readout of protocol runs, applied to states given by hand:
+    pure states as Dicke amplitudes, mixed ones as product-basis density
+    matrices."""
+
+    @staticmethod
+    def _pure(amps, spec):
+        two_plus = np.zeros(amps.shape[-1])
+        return _pure_readout([1.0], spec, np.atleast_2d(amps), two_plus)
+
+    @staticmethod
+    def _final(traj):
+        pops = {k: float(v[-1]) for k, v in traj.populations.items()}
+        return pops, herald_infidelity(pops["p_ryd"], pops["p_ER"])
+
     def test_er_state(self):
         spec = EnsembleSpec(3)
-        v = dicke_vector(spec, DickeIndex(1, 1)).astype(complex)
-        obs = observables(v, spec, "product")
-        assert obs.p_rydberg == pytest.approx(1.0)
-        assert obs.p_er == pytest.approx(1.0)
-        assert obs.infidelity_fraction == pytest.approx(0.0, abs=1e-12)
+        amps = np.zeros(7, dtype=complex)
+        amps[dicke_position(spec, DickeIndex(1, 1))] = 1.0
+        pops, infid = self._final(self._pure(amps, spec))
+        assert pops["p_ryd"] == pytest.approx(1.0)
+        assert pops["p_ER"] == pytest.approx(1.0)
+        assert infid == 0.0
 
     def test_ground_state_undefined_fidelity(self):
         spec = EnsembleSpec(3)
-        v = dicke_vector(spec, DickeIndex(0, 0)).astype(complex)
-        obs = observables(v, spec, "product")
-        assert obs.p_rydberg == pytest.approx(0.0, abs=1e-15)
-        assert obs.infidelity_fraction is None
+        amps = np.zeros(7, dtype=complex)
+        amps[0] = 1.0
+        pops, infid = self._final(self._pure(amps, spec))
+        assert pops["p_ryd"] == 0.0
+        assert infid is None
+        assert herald_infidelity(NO_HERALD_EPS, 0.0) is None
+        assert herald_infidelity(2 * NO_HERALD_EPS, 0.0) == 1.0
 
     def test_two_plus_at_canonical_point(self):
         """|2+> = (|E^2> + sqrt(2)|ER>)/sqrt(3): p_ryd = p_ER = 2/3."""
         spec = EnsembleSpec(3)
-        psi = (
-            dicke_vector(spec, DickeIndex(2, 0))
-            + np.sqrt(2) * dicke_vector(spec, DickeIndex(1, 1))
-        ) / np.sqrt(3)
-        obs = observables(psi.astype(complex), spec, "product")
-        assert obs.p_rydberg == pytest.approx(2 / 3)
-        assert obs.p_er == pytest.approx(2 / 3)
-        assert obs.infidelity_fraction == pytest.approx(0.0, abs=1e-12)
-        assert obs.p_e2 == pytest.approx(1 / 3)
+        amps = np.zeros(7, dtype=complex)
+        amps[dicke_position(spec, DickeIndex(2, 0))] = 1 / np.sqrt(3)
+        amps[dicke_position(spec, DickeIndex(1, 1))] = np.sqrt(2 / 3)
+        pops, infid = self._final(
+            _pure_readout([1.0], spec, amps[None], amps.real)
+        )
+        assert pops["p_ryd"] == pytest.approx(2 / 3)
+        assert pops["p_ER"] == pytest.approx(2 / 3)
+        assert pops["p_E2"] == pytest.approx(1 / 3)
+        assert pops["p_2plus"] == pytest.approx(1.0)
+        assert infid == pytest.approx(0.0, abs=1e-12)
 
     def test_dicke_basis_matches_product(self):
+        """The full model's frame map (the symmetrizer) takes a symmetric
+        product state back to the Dicke amplitudes it was built from."""
         spec = EnsembleSpec(4)
         rng = np.random.default_rng(7)
         amps = rng.normal(size=9) + 1j * rng.normal(size=9)
         amps /= np.linalg.norm(amps)
-        from superatom.basis import enumerate_dicke, symmetrizer
-
-        psi_prod = symmetrizer(spec) @ amps
-        a = observables(amps, spec, "dicke")
-        b = observables(psi_prod, spec, "product")
-        assert a.p_rydberg == pytest.approx(b.p_rydberg, abs=1e-12)
-        assert a.p_er == pytest.approx(b.p_er, abs=1e-12)
-        assert a.p_g == pytest.approx(b.p_g, abs=1e-12)
-        assert a.infidelity_fraction == pytest.approx(
-            b.infidelity_fraction, abs=1e-10
-        )
+        S = symmetrizer(spec)
+        a = self._pure(amps, spec).populations
+        b = self._pure((S @ amps) @ S, spec).populations
+        for key in a:
+            assert b[key][0] == pytest.approx(a[key][0], abs=1e-12)
 
     def test_density_matrix_input(self):
-        spec = EnsembleSpec(2)
-        v = dicke_vector(spec, DickeIndex(1, 1)).astype(complex)
-        rho = np.outer(v, v.conj())
-        obs = observables(rho, spec, "product")
-        assert obs.p_rydberg == pytest.approx(1.0)
-
-    def test_unknown_basis(self):
-        with pytest.raises(BasisError):
-            observables(np.ones(3), EnsembleSpec(1), "dressed")
+        """The master-equation readout of a pure rho equals the pure readout."""
+        spec = EnsembleSpec(3)
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=7) + 1j * rng.normal(size=7)
+        amps /= np.linalg.norm(amps)
+        two_plus = rng.normal(size=7)
+        two_plus /= np.linalg.norm(two_plus)
+        psi = symmetrizer(spec) @ amps
+        rho = np.outer(psi, psi.conj())
+        a = _pure_readout([1.0], spec, amps[None], two_plus)
+        b = _density_readout([1.0], spec, rho[None], two_plus)
+        assert set(a.populations) == set(b.populations)
+        for key in a.populations:
+            assert b.populations[key][0] == pytest.approx(
+                a.populations[key][0], abs=1e-12
+            )
+        assert self._final(b)[1] == pytest.approx(self._final(a)[1], abs=1e-12)
 
 
 class TestTrajectory:

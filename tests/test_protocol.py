@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import effective_two_level
-from superatom import protocol
+from superatom import cli, protocol
 from superatom.basis import EnsembleSpec, enumerate_dicke
 from superatom.dynamics import DecoherenceRates
 from superatom.hamiltonians import TWO_PI, LaserParams, resonance_probe_detuning
@@ -135,11 +136,27 @@ class TestRunProtocol:
             full.success_probability / 2, rel=0.15
         )
 
-    def test_herald_consistency(self):
-        result = run_protocol(canonical_config(), model="dicke", n_times=21)
-        obs = result.final_observables
-        want = (obs.p_rydberg - obs.p_er) / obs.p_rydberg
-        assert result.infidelity == want  # exact, same arithmetic
+    def test_herald_consistency(self, tmp_path):
+        """trajectory.csv's last infidelity cell is the summary's infidelity."""
+        cfg = tmp_path / "rabi.cfg"
+        cfg.write_text(
+            "n_atoms = 3\nomega_c_mhz = 20\nomega_eff_target_mhz = 0.1\n"
+            "delta_c_over_omega_c = -0.5\nn_times = 21\n"
+        )
+        assert cli.main(["rabi", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        infidelity = summary["results"]["infidelity"]
+        assert infidelity > 0
+        assert float(last.split(",")[-1]) == infidelity
+
+    def test_models_share_population_keys(self):
+        cfg = canonical_config(n_atoms=3, omega_c_mhz=100.0)
+        keys = {
+            m: list(run_protocol(cfg, model=m, n_times=3).trajectory.populations)
+            for m in protocol.MODELS
+        }
+        assert all(k == keys["dicke"] for k in keys.values()), keys
 
     def test_effective2_pi_pulse_complete_transfer(self):
         cfg = canonical_config()
@@ -214,7 +231,7 @@ class TestScans:
             return [
                 protocol.ProtocolResult(
                     success_probability=0.5, infidelity=y, trajectory=None,
-                    model_tag=model, resolved=None, final_observables=None,
+                    resolved=None,
                 )
                 for y in infids
             ]
@@ -336,4 +353,3 @@ class TestCollapseRevival:
         p = traj.populations["p_ryd"]
         assert p.shape == times.shape
         assert np.all((0 <= p) & (p <= 1 + 1e-12))
-        assert np.max(np.abs(traj.norm_or_trace - 1)) < 1e-10
