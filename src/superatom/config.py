@@ -16,7 +16,7 @@ from .basis import N_MAX_PRODUCT_VECTOR, EnsembleSpec
 from .dynamics import DecoherenceRates
 from .hamiltonians import TWO_PI, LaserParams
 from .ion_escape import IonEscapeConfig
-from .protocol import AUTO_DELTA_P, MODELS, ProtocolConfig
+from .protocol import AUTO_DELTA_P, MODELS, PoissonEnsemble, ProtocolConfig
 
 EXPERIMENTS = (
     "rabi", "scan-dc", "scan-oc", "scan-n", "lindblad-scan", "ion-mc", "jc-demo",
@@ -253,6 +253,17 @@ def parse_config(text: str, experiment: str) -> RunConfig:
             raise ConfigError(
                 f"{lo!r} equals {hi!r}; the scan's line fit needs distinct grid values"
             )
+    if experiment == "scan-n":
+        try:
+            PoissonEnsemble.from_mean(
+                values["poisson_mean"], values["half_width_sigmas"]
+            ).weights()
+        except ValueError as exc:
+            raise ConfigError(
+                f"line {lines['poisson_mean']}: invalid value for 'poisson_mean': "
+                f"{exc} (atom numbers N >= 2 within "
+                f"{values['half_width_sigmas']:g} sigmas)"
+            ) from exc
     return RunConfig(experiment=experiment, values=values, provided=provided)
 
 

@@ -1,13 +1,19 @@
 """Time evolution: exact pure-state propagation and Lindblad master equation.
 
 Pure states under a constant Hamiltonian are propagated by spectral
-decomposition (no integrator error); a Hamiltonian with no nonzero beyond
-its second superdiagonal, such as the Dicke chain, is diagonalized with a
-banded eigensolver.  Only the eigencomponents that carry psi0 are
-propagated: the smallest overlaps whose squared moduli sum to at most
-DROP_TOL**2 are dropped, which bounds the error of every psi(t) by
-DROP_TOL in norm (from |G> in the product basis, only the 2N+1 symmetric
-eigenvectors are kept).  Density matrices evolve under
+decomposition (no integrator error) of the leading K x K block of H.  The
+first block holds every position that _FIRST_BLOCK_STEPS applications of
+H can reach from psi0's support; K then grows to 2K+1 (at most dim) until
+the Duhamel bound on the leakage out of the block, T * sum_j |c_j| *
+||H[K:, :K] u_j|| with T = max |t|, is at most DROP_TOL.  In the Dicke
+ordering the block is the states with the fewest excitations; a
+Hamiltonian whose couplings reach far from the diagonal, such as the
+product-basis one, gets K = dim at once.  Of the block's eigencomponents
+only those that carry psi0 are propagated: the smallest overlaps whose
+squared moduli sum to at most DROP_TOL**2 are dropped (from |G> in the
+product basis, only the 2N+1 symmetric eigenvectors are kept).  Every
+returned psi(t) is therefore within 2 * DROP_TOL of exp(-iHt) psi0 in norm.
+Density matrices evolve under
 rho' = -i[H, rho] + sum_k Gamma_k (L rho L^+ - 1/2 {L^+L, rho}) with an
 adaptive embedded Runge-Kutta integrator on the vectorized density matrix;
 the generator is built once per run as a sparse superoperator.
@@ -22,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
-from scipy.linalg import eig_banded
 
 from .basis import (
     LEVEL_E,
@@ -95,17 +100,21 @@ class Trajectory:
         self.times = t
 
 
-_BANDWIDTH = 2  # superdiagonals of the Dicke chain
+# applications of H from psi0's support that the first leading block covers:
+# 35 positions of the Dicke chain from |G>, the states with n <= 17
+_FIRST_BLOCK_STEPS = 17
 
 
-def _eigh_banded(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a Hermitian matrix with no nonzero above _BANDWIDTH."""
-    dim = h.shape[0]
-    u = min(_BANDWIDTH, dim - 1)  # eig_banded needs u < dim
-    ab = np.zeros((u + 1, dim), dtype=h.dtype)
-    for k in range(u + 1):
-        ab[u - k, k:] = np.diagonal(h, k)
-    return eig_banded(ab, overwrite_a_band=True, check_finite=False)
+def _first_block(h: np.ndarray, psi0: np.ndarray) -> int:
+    """Size of the first leading block: psi0's support, widened by
+    _FIRST_BLOCK_STEPS times the bandwidth of H."""
+    nz = h != 0
+    rows = np.flatnonzero(nz.any(axis=1))
+    # last nonzero column of each nonzero row, less the row index
+    band = np.max(h.shape[0] - 1 - np.argmax(nz[rows, ::-1], axis=1) - rows, initial=0)
+    support = np.flatnonzero(psi0)
+    end = int(support[-1]) + 1 if support.size else 1
+    return min(h.shape[0], end + _FIRST_BLOCK_STEPS * int(band))
 
 
 def _carrying_indices(weights: np.ndarray) -> np.ndarray:
@@ -122,37 +131,50 @@ def _carrying_indices(weights: np.ndarray) -> np.ndarray:
 
 
 def propagate_pure(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
-    """psi(t) = exp(-i H t) psi0 via eigendecomposition; returns (T, dim).
+    """psi(t) = exp(-i H t) psi0 on a leading block of H; returns (T, dim).
 
-    H is diagonalized by a banded eigensolver when it has no nonzero above
-    its second superdiagonal, and by a dense one otherwise.  Eigencomponents
-    of psi0 with a total weight <= DROP_TOL**2 are not propagated, so each
-    returned state is within DROP_TOL of the full spectral sum in norm.
+    The block grows from _first_block until the leakage bound
+    T * sum_j |c_j| * ||H[K:, :K] u_j|| (T = max |t|; u_j, c_j the block's
+    eigenvectors and psi0's overlaps with them) is at most DROP_TOL.
+    Eigencomponents of psi0 with a total weight <= DROP_TOL**2 are not
+    propagated, so each returned state is within 2 * DROP_TOL of
+    exp(-i H t) psi0 in norm.
     """
     times = np.asarray(times, dtype=float)
+    dim = h.shape[0]
     if h.shape[0] != h.shape[1] or h.shape[0] != psi0.shape[0]:
         raise BasisError(f"dimension mismatch: H {h.shape}, psi0 {psi0.shape}")
     if not (np.isfinite(h).all() and np.isfinite(psi0).all()):
         raise NumericalFailure("non-finite Hamiltonian or initial state")
     # "not <=" so that a NaN residual fails the check
     if not np.max(np.abs(h - h.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(h))):
-        raise ValueError("Hamiltonian is not Hermitian")
-    try:
-        if np.any(np.triu(h, _BANDWIDTH + 1)):
-            evals, evecs = np.linalg.eigh(h)
-        else:
-            evals, evecs = _eigh_banded(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    c0 = evecs.conj().T @ psi0
+        raise NumericalFailure("Hamiltonian is not Hermitian")
+    horizon = np.max(np.abs(times), initial=0.0)
+    k = _first_block(h, psi0)
+    while True:
+        try:
+            evals, evecs = np.linalg.eigh(h[:k, :k])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+        c0 = evecs.conj().T @ psi0[:k]
+        if k == dim:
+            break
+        leak = np.linalg.norm(h[k:, :k] @ evecs, axis=0)
+        if horizon * (np.abs(c0) @ leak) <= DROP_TOL:
+            break
+        k = min(dim, 2 * k + 1)
     keep = _carrying_indices(np.abs(c0) ** 2)
     phases = np.exp(-1j * np.outer(times, evals[keep]))
-    states = (phases * c0[keep]) @ evecs[:, keep].T
-    # row norms without the (T, dim) temporaries of np.linalg.norm
-    re, im = states.real, states.imag
+    block = (phases * c0[keep]) @ evecs[:, keep].T
+    # row norms without the (T, K) temporaries of np.linalg.norm
+    re, im = block.real, block.imag
     norms = np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
     if not np.max(np.abs(norms - 1.0)) <= NORM_TOL:
         raise NumericalFailure("norm not conserved in pure propagation")
+    if k == dim:
+        return block
+    states = np.zeros((len(times), dim), dtype=block.dtype)
+    states[:, :k] = block
     return states
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import inf, log, pi, sqrt
+from math import inf, log, nan, pi, sqrt
 
 import numpy as np
 from scipy.special import gammaln
@@ -75,7 +75,11 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class ResolvedProtocol:
-    """All laser parameters and derived quantities pinned down for a run."""
+    """All laser parameters and derived quantities pinned down for a run.
+
+    omega_eff and delta_eff are NaN on a point that was not reduced (a
+    scan-n atom number under a model that does not read them).
+    """
 
     spec: EnsembleSpec
     params: LaserParams  # omega_p and delta_p fully resolved
@@ -213,9 +217,10 @@ def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
 
 
 def run_protocol(
-    cfg: ProtocolConfig, model: str = "dicke", n_times: int = 201
+    cfg: ProtocolConfig | ResolvedProtocol, model: str = "dicke", n_times: int = 201
 ) -> ProtocolResult:
-    """Propagate |G> for the pulse time under the chosen model."""
+    """Propagate |G> for the pulse time under the chosen model; a
+    ResolvedProtocol is run as it stands, without a second resolution."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if model == "lindblad" and cfg.spec.n_atoms > N_MAX_PRODUCT_DENSITY:
@@ -223,7 +228,7 @@ def run_protocol(
             f"product-basis density matrix for N={cfg.spec.n_atoms} exceeds "
             f"limit {N_MAX_PRODUCT_DENSITY}"
         )
-    res = resolve_protocol(cfg)
+    res = cfg if isinstance(cfg, ResolvedProtocol) else resolve_protocol(cfg)
     spec, params = res.spec, res.params
     times = np.linspace(0.0, res.pulse_time, n_times)[1:]
     two_plus = _two_plus_dicke_vector(params, spec)
@@ -398,19 +403,23 @@ def poisson_average(
     """
     lam = int(round(ensemble.mean_atoms))
     ref = resolve_protocol(replace(cfg, spec=EnsembleSpec(lam)))
-    fixed_params = ref.params
-    pulse_time = ref.pulse_time
 
     ns, ws = ensemble.weights()
-    pts = [
-        ProtocolConfig(
-            spec=EnsembleSpec(int(n)),
-            params=fixed_params,
-            rates=cfg.rates,
-            pulse_time=pulse_time,
-        )
-        for n in ns
-    ]
+    if model == "effective2":  # the only model that reads the per-N reduction
+        pts = [
+            ProtocolConfig(
+                spec=EnsembleSpec(int(n)),
+                params=ref.params,
+                rates=cfg.rates,
+                pulse_time=ref.pulse_time,
+            )
+            for n in ns
+        ]
+    else:  # the N = mean resolution at every N, with no reduction read
+        pts = [
+            replace(ref, spec=EnsembleSpec(int(n)), omega_eff=nan, delta_eff=nan)
+            for n in ns
+        ]
     per_n = [
         ScanRow(x=float(n), success=res.success_probability,
                 infidelity=res.infidelity)

@@ -274,14 +274,39 @@ class TestMainEntry:
         assert len(err) == 1 and "effective coupling" in err[0]
 
     def test_eigensolver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("did not converge")
+        """The propagator's eigh fails; the reduction's batched 2x2 eigh
+        (a 3-D stack) still runs."""
+        real = np.linalg.eigh
 
-        monkeypatch.setattr("superatom.dynamics.eig_banded", fail)
+        def fail(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                raise np.linalg.LinAlgError("did not converge")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr("superatom.dynamics.np.linalg.eigh", fail)
         code, _ = run_cli(tmp_path, "rabi", RABI_CFG + "model = dicke\n")
         assert code == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "did not converge" in err[0]
+
+    def test_non_hermitian_hamiltonian_exit_code(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """A non-Hermitian H from a patched build_dicke_hamiltonian is an
+        internal failure (exit 4), not a configuration error."""
+        from superatom import protocol
+
+        real = protocol.build_dicke_hamiltonian
+
+        def skewed(params, spec):
+            h = real(params, spec)
+            h[0, 1] += 1.0
+            return h
+
+        monkeypatch.setattr(protocol, "build_dicke_hamiltonian", skewed)
+        code, _ = run_cli(tmp_path, "rabi", RABI_CFG + "model = dicke\n")
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: Hamiltonian is not Hermitian"]
 
     @pytest.fixture
     def no_pool(self, monkeypatch):
@@ -392,6 +417,19 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "invalid value for 'n_atoms'" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mean,half_width", [("15", "6"), ("30", "3")])
+    def test_thin_poisson_window_rejected(self, tmp_path, capsys, mean,
+                                          half_width):
+        """A Poisson mean whose window (N >= 2, half_width_sigmas) misses
+        more than 1e-6 of the mass is refused while parsing."""
+        text = (f"poisson_mean = {mean}\nomega_c_mhz = 20\n"
+                f"omega_eff_target_mhz = 0.1\nhalf_width_sigmas = {half_width}\n")
+        code, out = run_cli(tmp_path, "scan-n", text)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid value for 'poisson_mean'" in err[0]
         assert not out.exists()
 
     def test_jc_demo(self, tmp_path):

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import superatom.dynamics
+from oracles import whole_chain_states
 from superatom.basis import (
     BasisError,
     CapacityError,
     DickeIndex,
     EnsembleSpec,
+    dicke_labels,
     dicke_position,
     product_basis,
     symmetrizer,
@@ -28,15 +30,20 @@ from superatom.dynamics import (
     propagate_pure,
 )
 from superatom.hamiltonians import (
+    TWO_PI,
     LaserParams,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
 )
 from superatom.protocol import (
+    AUTO_DELTA_P,
     NO_HERALD_EPS,
+    ProtocolConfig,
     _density_readout,
     _pure_readout,
+    collapse_revival_demo,
     herald_infidelity,
+    resolve_protocol,
 )
 
 
@@ -73,7 +80,7 @@ class TestPurePropagation:
 
     def test_non_hermitian_rejected(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalFailure, match="not Hermitian"):
             propagate_pure(h, np.array([1.0, 0.0], dtype=complex), [1.0])
 
     def test_dimension_mismatch(self):
@@ -128,7 +135,6 @@ class TestPurePropagation:
         """psi0 spans 3 of 12 eigenvectors; the other 9 are dropped."""
         evals = np.random.default_rng(seed).normal(size=12)
         h, q = self._random_dense(evals, seed)
-        assert np.any(np.triu(h, 3))  # the dense eigensolver runs
         psi0 = q[:, [1, 5, 8]] @ np.array([0.6, 0.48j, -0.64])
         self._check_against_expm(h, psi0, n_kept=3)
 
@@ -172,7 +178,7 @@ class TestPurePropagation:
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(superatom.dynamics.np.linalg, "eigh", fail)
-        h = np.ones((5, 5))  # full, so the dense solver runs
+        h = np.ones((5, 5))
         with pytest.raises(NumericalFailure, match="did not converge"):
             propagate_pure(h, np.eye(5, dtype=complex)[0], [1.0])
 
@@ -233,64 +239,135 @@ def _random_state(dim, seed):
 
 
 class TestBandedPropagation:
-    """Pentadiagonal H goes through the banded eigensolver; the result must
-    match exp(-iHt) and the dense eigensolver, which runs on the same H in
-    a permuted order that breaks the band."""
+    """A pentadiagonal H such as the Dicke chain propagates on a leading
+    block, grown until the leakage bound fits.  Every result must match
+    exp(-iHt) and the whole-chain spectral sum of the banded solver that
+    the block replaced (tests/oracles.py); the eigh spy records the block
+    sizes a call went through."""
 
     TIMES = np.linspace(0.05, 2.0, 7)
 
     @pytest.fixture
-    def banded_calls(self, monkeypatch):
-        calls = []
-        real = superatom.dynamics.eig_banded
+    def eigh_sizes(self, monkeypatch):
+        sizes = []
+        real = np.linalg.eigh
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(superatom.dynamics, "eig_banded", spy)
-        return calls
+        monkeypatch.setattr(superatom.dynamics.np.linalg, "eigh", spy)
+        return sizes
 
-    def _check(self, h, psi0, banded_calls):
-        got = propagate_pure(h, psi0, self.TIMES)
-        assert len(banded_calls) == 1
-        want = np.array([expm(-1j * h * t) @ psi0 for t in self.TIMES])
+    @staticmethod
+    def _check(h, psi0, times, eigh_sizes, blocks):
+        got = propagate_pure(h, psi0, times)
+        assert eigh_sizes == blocks
+        want = np.array([expm(-1j * h * t) @ psi0 for t in times])
         assert np.max(np.abs(got - want)) < 1e-10
-        dim = h.shape[0]
-        if dim > 3 and np.any(h):
-            perm = np.r_[0, 2:dim, 1]
-            hp = h[np.ix_(perm, perm)]
-            assert np.any(np.triu(hp, 3))
-            dense = np.empty_like(got)
-            dense[:, perm] = propagate_pure(hp, psi0[perm], self.TIMES)
-            assert len(banded_calls) == 1
-            assert np.max(np.abs(got - dense)) < 1e-10
+        assert np.max(np.abs(got - whole_chain_states(h, psi0, times))) < 1e-10
+        return got
+
+    @staticmethod
+    def _ground(dim):
+        psi0 = np.zeros(dim, dtype=complex)
+        psi0[0] = 1.0
+        return psi0
+
+    @pytest.mark.parametrize("n_atoms,blocks", [(3, [7]), (50, [35]), (160, [35])])
+    def test_sweep_point_from_ground(self, n_atoms, blocks, eigh_sizes):
+        """A scan point (Omega_c/2pi = 100 MHz, Omega_eff/2pi = 0.1 MHz,
+        pi-pulse) from |G>: the 35 states with n <= 17 meet the bound."""
+        omega_c = TWO_PI * 100.0
+        res = resolve_protocol(ProtocolConfig(
+            spec=EnsembleSpec(n_atoms),
+            params=LaserParams(0.0, omega_c, AUTO_DELTA_P, -omega_c / 2.0),
+            effective_rabi_target=TWO_PI * 0.1,
+        ))
+        h = build_dicke_hamiltonian(res.params, res.spec)
+        times = np.linspace(0.0, res.pulse_time, 5)[1:]
+        eigh_sizes.clear()  # the reduction's batched 2x2 eigh
+        self._check(h, self._ground(h.shape[0]), times, eigh_sizes, blocks)
+
+    @pytest.mark.parametrize("omega_p_mhz,blocks", [
+        (0.1, [35, 71]),
+        (0.2, [35, 71, 143]),
+        (2.0, [35, 71, 143, 201]),  # strong probe: the whole chain
+    ])
+    def test_block_grows_with_the_probe(self, omega_p_mhz, blocks, eigh_sizes):
+        """N = 100 over 2 us: the stronger the probe, the further up the
+        ladder |G> climbs and the larger the block the bound needs."""
+        h = build_dicke_hamiltonian(
+            LaserParams(TWO_PI * omega_p_mhz, TWO_PI * 10.0, 0.0, 0.0),
+            EnsembleSpec(100),
+        )
+        got = self._check(h, self._ground(201), self.TIMES, eigh_sizes, blocks)
+        assert not np.any(got[:, blocks[-1]:])
+
+    def test_collapse_revival_stages(self, eigh_sizes):
+        """Stage 1 of collapse_revival_demo at N = 100 (binomial p = 1/4)
+        spreads |G> over the whole ladder; stage 2 starts from that spread
+        state, so its first block is already the whole chain."""
+        spec = EnsembleSpec(100)
+        params = LaserParams(TWO_PI * 1.0, TWO_PI * 10.0, 0.0, 0.0)
+        h1 = build_dicke_hamiltonian(LaserParams(params.omega_p, 1e-12, 0.0, 0.0), spec)
+        psi1 = self._check(h1, self._ground(201), [1.0 / 6.0], eigh_sizes,
+                           [35, 71, 143, 201])[0]
+        eigh_sizes.clear()
+        h2 = build_dicke_hamiltonian(params.replace(omega_p=0.0), spec)
+        states = self._check(h2, psi1, self.TIMES, eigh_sizes, [201])
+        _, s = dicke_labels(100)
+        traj = collapse_revival_demo(spec, params, 1.0 / 6.0, self.TIMES)
+        want = (np.abs(states[:, s == 1]) ** 2).sum(axis=1)
+        assert np.max(np.abs(traj.populations["p_ryd"] - want)) < 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 40])
-    def test_random_pentadiagonal(self, dim, banded_calls):
-        self._check(
-            _random_pentadiagonal(dim, dim), _random_state(dim, dim), banded_calls
-        )
+    def test_random_pentadiagonal(self, dim, eigh_sizes):
+        """A psi0 spread over every position takes the whole matrix."""
+        self._check(_random_pentadiagonal(dim, dim), _random_state(dim, dim),
+                    self.TIMES, eigh_sizes, [dim])
 
     @pytest.mark.parametrize("n_atoms", [1, 3, 50])
-    def test_dicke_hamiltonian(self, n_atoms, banded_calls):
+    def test_dicke_hamiltonian(self, n_atoms, eigh_sizes):
         h = build_dicke_hamiltonian(
             LaserParams(1.5, 4.0, 0.7, -2.0), EnsembleSpec(n_atoms)
         )
-        self._check(h, _random_state(h.shape[0], n_atoms), banded_calls)
+        dim = h.shape[0]
+        self._check(h, _random_state(dim, n_atoms), self.TIMES, eigh_sizes, [dim])
 
-    def test_zero_hamiltonian(self, banded_calls):
-        self._check(np.zeros((5, 5)), _random_state(5, 0), banded_calls)
+    def test_random_pentadiagonal_from_first_state(self, eigh_sizes):
+        """Couplings of order 1 over t = 2 carry the first state across
+        all 80 positions, so the block grows to the whole matrix."""
+        h = _random_pentadiagonal(80, 5)
+        self._check(h, self._ground(80), self.TIMES, eigh_sizes, [35, 71, 80])
+
+    def test_zero_hamiltonian(self, eigh_sizes):
+        """No coupling, no band: the block is psi0's support."""
+        psi0 = np.zeros(9, dtype=complex)
+        psi0[:3] = _random_state(3, 0)
+        got = self._check(np.zeros((9, 9)), psi0, self.TIMES, eigh_sizes, [3])
+        assert np.allclose(got, psi0[None, :], atol=1e-14)
 
     @pytest.mark.parametrize("omega_c", [4.0, 1e-12])
-    def test_probe_off(self, omega_c, banded_calls):
+    def test_probe_off(self, omega_c, eigh_sizes):
         """Omega_p = 0: |G> decouples and H falls apart into the 2x2 coupling
         blocks; with a vanishing coupling laser as well, every level sits
         within 1e-12 of 0."""
         h = build_dicke_hamiltonian(
             LaserParams(0.0, omega_c, 0.0, 0.0), EnsembleSpec(4)
         )
-        self._check(h, _random_state(9, 4), banded_calls)
+        self._check(h, _random_state(9, 4), self.TIMES, eigh_sizes, [9])
+
+    def test_product_basis_takes_the_whole_matrix(self, eigh_sizes):
+        """The product basis is not ordered by excitation number: its
+        couplings reach 576 places from the diagonal at N = 8, so |G>
+        starts, and ends, with all 1,280 states."""
+        spec = EnsembleSpec(8)
+        h = build_product_hamiltonian(LaserParams(1.9, 628.0, 0.0, -314.0), spec)
+        psi0 = np.zeros(h.shape[0], dtype=complex)
+        psi0[product_basis(spec).index[(0,) * 8]] = 1.0
+        propagate_pure(h, psi0, [0.5, 5.0])
+        assert eigh_sizes == [1280]
 
 
 class TestLindbladOperators:

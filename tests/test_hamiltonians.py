@@ -310,8 +310,8 @@ class TestArrayBuildsMatchLoops:
     @settings(max_examples=30, deadline=None)
     @given(laser_params, st.integers(1, 12))
     def test_dicke_hamiltonian_is_pentadiagonal(self, params, n):
-        """No nonzero beyond the second off-diagonal: what lets propagate_pure
-        use a banded eigensolver."""
+        """No nonzero beyond the second off-diagonal: what keeps
+        propagate_pure's first block from |G> at 35 states."""
         h = build_dicke_hamiltonian(params, EnsembleSpec(n))
         rows, cols = np.nonzero(h)
         assert np.all(np.abs(rows - cols) <= 2)
