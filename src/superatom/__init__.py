@@ -14,8 +14,6 @@ from .basis import (
     DickeIndex,
     EnsembleSpec,
     dicke_dimension,
-    dicke_vector,
-    enumerate_dicke,
     product_basis,
     product_dimension,
     symmetrizer,

@@ -4,13 +4,17 @@ Atom-local levels are ordered g < e < r.  The blockade truncation keeps
 only many-body configurations with at most one atom in r, so the product
 space has dimension 2^N + N*2^(N-1) and the symmetric (Dicke) manifold
 has dimension 2N+1: states |E^j R^s> with s in {0, 1} and j + s <= N.
+
+The product basis is an integer array of atom levels, one row per
+configuration in lexicographic order, so |G> is row 0.  Every product-basis
+operator is built from it with array operations: single-atom flips pair
+rows through their base-3 codes, and the symmetrizer groups rows by their
+Dicke position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as iterproduct
 
 import numpy as np
 
@@ -64,55 +68,38 @@ def dicke_dimension(n_atoms: int) -> int:
     return 2 * n_atoms + 1
 
 
-class ProductBasis:
-    """Deterministic enumeration of blockaded product configurations.
+def product_basis(spec: EnsembleSpec) -> np.ndarray:
+    """(dim, N) atom levels of every blockaded configuration.
 
-    Configurations are tuples over {0,1,2} (g,e,r) with at most one 2,
-    ordered lexicographically.
+    Rows are in lexicographic order (atom 0 most significant), so |G> is
+    row 0.
     """
-
-    def __init__(self, spec: EnsembleSpec, max_atoms: int = N_MAX_PRODUCT_VECTOR):
-        if spec.n_atoms > max_atoms:
-            raise CapacityError(
-                f"product basis for N={spec.n_atoms} exceeds limit {max_atoms}"
-            )
-        self.spec = spec
-        self.states = [
-            c
-            for c in iterproduct((0, 1, 2), repeat=spec.n_atoms)
-            if c.count(LEVEL_R) <= 1
-        ]
-        self.index = {c: i for i, c in enumerate(self.states)}
-        self.dim = len(self.states)
-        assert self.dim == product_dimension(spec.n_atoms)
-
-    def excitation_counts(self) -> np.ndarray:
-        """(dim, 2) array of (j, s) per configuration."""
-        out = np.empty((self.dim, 2), dtype=int)
-        for i, c in enumerate(self.states):
-            out[i, 0] = c.count(LEVEL_E)
-            out[i, 1] = c.count(LEVEL_R)
-        return out
+    n = spec.n_atoms
+    if n > N_MAX_PRODUCT_VECTOR:
+        raise CapacityError(
+            f"product basis for N={n} exceeds limit {N_MAX_PRODUCT_VECTOR}"
+        )
+    levels = np.indices((3,) * n).reshape(n, -1).T
+    return levels[(levels == LEVEL_R).sum(axis=1) <= 1]
 
 
-@lru_cache(maxsize=32)
-def _cached_product_basis(n_atoms: int) -> ProductBasis:
-    return ProductBasis(EnsembleSpec(n_atoms))
+def single_atom_flips(
+    levels: np.ndarray, src: int, dst: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(atom, from-row, to-row) of every flip src -> dst of one atom.
 
-
-def product_basis(spec: EnsembleSpec) -> ProductBasis:
-    return _cached_product_basis(spec.n_atoms)
-
-
-def enumerate_dicke(spec: EnsembleSpec) -> list[DickeIndex]:
-    """All admissible (j, s), ascending in n = j + s, then s. Count 2N+1."""
-    out = []
-    for n in range(spec.n_atoms + 1):
-        for s in (0, 1):
-            j = n - s
-            if j >= 0:
-                out.append(DickeIndex(j, s))
-    return out
+    levels is a product_basis array; flips whose target holds a second r
+    are absent from the basis and dropped.
+    """
+    n = levels.shape[1]
+    place = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)  # base-3 digit weights
+    codes = levels @ place
+    row_of = np.full(3**n, -1)
+    row_of[codes] = np.arange(len(codes))
+    atom, row = np.nonzero(levels.T == src)
+    to = row_of[codes[row] + (dst - src) * place[atom]]
+    kept = to >= 0
+    return atom[kept], row[kept], to[kept]
 
 
 def dicke_labels(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,32 +120,15 @@ def dicke_position(spec: EnsembleSpec, idx: DickeIndex) -> int:
     return 2 * idx.j - 1 + 3 * idx.s if idx.n else 0
 
 
-def dicke_vector(spec: EnsembleSpec, idx: DickeIndex) -> np.ndarray:
-    """|E^j R^s> as a product-basis vector.
-
-    Built by explicit symmetrization: equal positive amplitude on every
-    configuration with j atoms in e and s in r, normalized numerically.
-    (The closed-form normalization printed alongside the symmetrized
-    definition does not reduce to the expected limits; the uniform
-    superposition is unambiguous, so we normalize from the construction.)
-    """
-    if not idx.admissible(spec):
-        raise BasisError(f"({idx.j},{idx.s}) not admissible for N={spec.n_atoms}")
-    pb = product_basis(spec)
-    counts = pb.excitation_counts()
-    mask = (counts[:, 0] == idx.j) & (counts[:, 1] == idx.s)
-    vec = np.zeros(pb.dim)
-    vec[mask] = 1.0
-    return vec / np.linalg.norm(vec)
-
-
-@lru_cache(maxsize=32)
-def _cached_symmetrizer(n_atoms: int) -> np.ndarray:
-    spec = EnsembleSpec(n_atoms)
-    cols = [dicke_vector(spec, idx) for idx in enumerate_dicke(spec)]
-    return np.column_stack(cols)
-
-
 def symmetrizer(spec: EnsembleSpec) -> np.ndarray:
-    """Isometry (product_dim x 2N+1) whose columns are the Dicke vectors."""
-    return _cached_symmetrizer(spec.n_atoms)
+    """Isometry (product_dim x 2N+1) whose columns are the Dicke vectors.
+
+    Column k has equal positive amplitude on every configuration whose
+    (j, s) sits at Dicke position k.
+    """
+    levels = product_basis(spec)
+    j = (levels == LEVEL_E).sum(axis=1)
+    s = (levels == LEVEL_R).sum(axis=1)
+    out = np.zeros((len(levels), dicke_dimension(spec.n_atoms)))
+    out[np.arange(len(levels)), np.maximum(2 * j - 1 + 3 * s, 0)] = 1.0
+    return out / np.sqrt(out.sum(axis=0))

@@ -5,9 +5,10 @@ Usage: superatom-sim <experiment> --config FILE --out DIR [--workers K] [--seed 
 --workers (default $SUPERATOM_WORKERS, else 1) sizes the process pool of
 the scans; ion-mc runs in one process and ignores it.
 
-Exit codes: 0 success, 2 configuration error, 3 capacity exceeded,
-4 numerical failure.  Outputs are deterministic for identical inputs
-apart from the timestamp field in summary.json.
+Exit codes: 0 success, 2 configuration error (refused while parsing, or a
+BasisError refusal such as a probe too weak for a finite pi-pulse),
+3 capacity exceeded, 4 numerical failure.  Outputs are deterministic for
+identical inputs apart from the timestamp field in summary.json.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import CapacityError
+from .basis import BasisError, CapacityError
 from .config import EXPERIMENTS, ConfigError, ion_config, parse_config, protocol_config
 from .dynamics import NumericalFailure, Trajectory
 from .hamiltonians import TWO_PI
@@ -347,7 +348,7 @@ def main(argv=None) -> int:
         workers = _worker_count(args.workers)
         try:
             text = args.config.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         rc = parse_config(text, args.experiment)
         args.out.mkdir(parents=True, exist_ok=True)
@@ -365,7 +366,7 @@ def main(argv=None) -> int:
             _run_ion_mc(rc, args.out, args.seed)
         else:
             _run_jc_demo(rc, args.out, workers)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, BasisError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

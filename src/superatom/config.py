@@ -16,7 +16,13 @@ from .basis import N_MAX_PRODUCT_VECTOR, EnsembleSpec
 from .dynamics import DecoherenceRates
 from .hamiltonians import TWO_PI, LaserParams
 from .ion_escape import IonEscapeConfig
-from .protocol import AUTO_DELTA_P, MODELS, PoissonEnsemble, ProtocolConfig
+from .protocol import (
+    AUTO_DELTA_P,
+    MODELS,
+    SCAN_N_TIMES,
+    PoissonEnsemble,
+    ProtocolConfig,
+)
 
 EXPERIMENTS = (
     "rabi", "scan-dc", "scan-oc", "scan-n", "lindblad-scan", "ion-mc", "jc-demo",
@@ -169,7 +175,7 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
             "n_trajectories": Key(_int(1), default=100),
             "seed": Key(_int(0), default=0),
             "ion_start": Key(_choice("uniform", "center"), default="uniform"),
-            "time_step_ns": Key(_float(0, lo_open=True), default=0.1),
+            "time_step_ns": Key(_float(0, 0.1, lo_open=True), default=0.1),
             "max_time_ns": Key(_float(0, lo_open=True)),
         },
         [],
@@ -181,6 +187,18 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
 _FITTED_RANGES = {
     "scan-oc": ("omega_c_min_mhz", "omega_c_max_mhz"),
     "lindblad-scan": ("gamma_min_mhz", "gamma_max_mhz"),
+}
+
+
+# (duration key T, n) of the runs that write their states at the output
+# times linspace(0, T, n)[1:]; n is the n_times value where None.  A
+# subnormal T can round those times together.  The 3-point grids of scan-n
+# and lindblad-scan resolve every T > 0.
+_TIME_GRIDS = {
+    "rabi": ("pulse_time_us", None),
+    "jc-demo": ("total_time_us", None),
+    "scan-dc": ("pulse_time_us", SCAN_N_TIMES),
+    "scan-oc": ("pulse_time_us", SCAN_N_TIMES),
 }
 
 
@@ -252,6 +270,14 @@ def parse_config(text: str, experiment: str) -> RunConfig:
         if values[lo] == values[hi]:
             raise ConfigError(
                 f"{lo!r} equals {hi!r}; the scan's line fit needs distinct grid values"
+            )
+    key, n = _TIME_GRIDS.get(experiment, (None, None))
+    if key in values:
+        n = n or values["n_times"]
+        if not np.all(np.diff(np.linspace(0.0, values[key], n)[1:]) > 0):
+            raise ConfigError(
+                f"line {lines[key]}: invalid value for {key!r}: "
+                f"too short for {n - 1} distinct output times"
             )
     if experiment == "scan-n":
         try:

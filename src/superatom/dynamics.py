@@ -37,8 +37,9 @@ from .basis import (
     CapacityError,
     EnsembleSpec,
     N_MAX_PRODUCT_DENSITY,
-    dicke_dimension,
     product_basis,
+    product_dimension,
+    single_atom_flips,
     symmetrizer,
 )
 
@@ -49,12 +50,8 @@ HERM_TOL = 1e-8
 POSITIVITY_TOL = 1e-6
 LINDBLAD_RTOL = 1e-8  # DOP853 tolerances of the master equation
 LINDBLAD_ATOL = 1e-10
-# capacity of evolve_lindblad: the larger of the N=64 Dicke chain and the
-# N_MAX_PRODUCT_DENSITY product basis
-LINDBLAD_MAX_DIM = max(
-    dicke_dimension(64),
-    2**N_MAX_PRODUCT_DENSITY + N_MAX_PRODUCT_DENSITY * 2 ** (N_MAX_PRODUCT_DENSITY - 1),
-)
+# the master equation runs in the product basis only
+LINDBLAD_MAX_DIM = product_dimension(N_MAX_PRODUCT_DENSITY)
 
 
 class NumericalFailure(RuntimeError):
@@ -187,29 +184,22 @@ def lindblad_operators(
     and break the exchange symmetry; collective dephasing projects onto
     each symmetric Dicke state.
     """
+    levels = product_basis(spec)
+    dim = len(levels)
     ops: list[tuple[float, np.ndarray]] = []
-    pb = product_basis(spec)
-    single = {
-        "gamma_e": (LEVEL_E, LEVEL_G),  # |g><e|
-        "gamma_r": (LEVEL_R, LEVEL_E),  # |e><r|
-        "gamma_d": (LEVEL_R, LEVEL_R),  # |r><r|
-    }
-    for name, (src, dst) in single.items():
-        rate = getattr(rates, name)
+    for rate, src, dst in (
+        (rates.gamma_e, LEVEL_E, LEVEL_G),  # |g><e|
+        (rates.gamma_r, LEVEL_R, LEVEL_E),  # |e><r|
+        (rates.gamma_d, LEVEL_R, LEVEL_R),  # |r><r|
+    ):
         if rate <= 0:
             continue
-        for k in range(spec.n_atoms):
-            op = np.zeros((pb.dim, pb.dim))
-            for i, c in enumerate(pb.states):
-                if c[k] == src:
-                    target = c[:k] + (dst,) + c[k + 1 :]
-                    op[pb.index[target], i] = 1.0
-            ops.append((rate, op))
+        atom, rows, cols = single_atom_flips(levels, src, dst)
+        per_atom = np.zeros((spec.n_atoms, dim, dim))
+        per_atom[atom, cols, rows] = 1.0
+        ops.extend((rate, op) for op in per_atom)
     if rates.gamma_coll > 0:
-        S = symmetrizer(spec)
-        for col in range(S.shape[1]):
-            v = S[:, col]
-            ops.append((rates.gamma_coll, np.outer(v, v)))
+        ops.extend((rates.gamma_coll, np.outer(v, v)) for v in symmetrizer(spec).T)
     return ops
 
 

@@ -28,6 +28,7 @@ from .basis import (
     dicke_dimension,
     dicke_labels,
     product_basis,
+    single_atom_flips,
 )
 
 TWO_PI = 2.0 * pi
@@ -47,13 +48,6 @@ class LaserParams:
             raise ValueError("omega_p must be >= 0")
         if self.omega_c <= 0:
             raise ValueError("omega_c must be > 0")
-
-    @classmethod
-    def from_mhz(cls, nu_p, nu_c, nu_delta_p, nu_delta_c) -> "LaserParams":
-        """Build from ordinary frequencies nu = Omega/2pi in MHz."""
-        return cls(
-            TWO_PI * nu_p, TWO_PI * nu_c, TWO_PI * nu_delta_p, TWO_PI * nu_delta_c
-        )
 
     def replace(self, **kw) -> "LaserParams":
         return dataclasses.replace(self, **kw)
@@ -77,27 +71,18 @@ def build_product_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.nda
     single-atom g<->e flip and Omega_c/2 per e<->r flip.  Couplings into
     doubly-Rydberg states are absent by construction of the basis.
     """
-    pb = product_basis(spec)
-    counts = pb.excitation_counts()
-    h = np.zeros((pb.dim, pb.dim))
-    diag = -counts[:, 0] * params.delta_p - counts[:, 1] * (
-        params.delta_p + params.delta_c
-    )
-    np.fill_diagonal(h, diag)
-    for i, c in enumerate(pb.states):
-        for k in range(spec.n_atoms):
-            if c[k] == LEVEL_G:
-                flipped = c[:k] + (LEVEL_E,) + c[k + 1 :]
-                h[i, pb.index[flipped]] += params.omega_p / 2.0
-            elif c[k] == LEVEL_E:
-                flipped_g = c[:k] + (LEVEL_G,) + c[k + 1 :]
-                h[i, pb.index[flipped_g]] += params.omega_p / 2.0
-                flipped_r = c[:k] + (LEVEL_R,) + c[k + 1 :]
-                if flipped_r in pb.index:
-                    h[i, pb.index[flipped_r]] += params.omega_c / 2.0
-            else:  # LEVEL_R
-                flipped_e = c[:k] + (LEVEL_E,) + c[k + 1 :]
-                h[i, pb.index[flipped_e]] += params.omega_c / 2.0
+    levels = product_basis(spec)
+    j = (levels == LEVEL_E).sum(axis=1)
+    s = (levels == LEVEL_R).sum(axis=1)
+    h = np.zeros((len(levels),) * 2)
+    np.fill_diagonal(h, -j * params.delta_p - s * (params.delta_p + params.delta_c))
+    for src, dst, el in (
+        (LEVEL_G, LEVEL_E, params.omega_p / 2.0),
+        (LEVEL_E, LEVEL_R, params.omega_c / 2.0),
+    ):
+        _, rows, cols = single_atom_flips(levels, src, dst)
+        h[rows, cols] = el
+        h[cols, rows] = el
     return h
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .basis import (
+    LEVEL_R,
     N_MAX_PRODUCT_DENSITY,
     BasisError,
     CapacityError,
@@ -46,6 +47,7 @@ from .hamiltonians import (
 )
 
 MODELS = ("full", "dicke", "restricted6", "effective2", "lindblad")
+SCAN_N_TIMES = 41  # time grid of each scan-dc and scan-oc point
 NO_HERALD_EPS = 1e-12  # Rydberg population at or below which no ion is heralded
 
 
@@ -176,7 +178,7 @@ def _density_readout(times, spec, rhos, two_plus) -> Trajectory:
     the Rydberg population of every product state; the rest is read from
     the Dicke block S^T rho S.
     """
-    ryd = product_basis(spec).excitation_counts()[:, 1] == 1
+    ryd = (product_basis(spec) == LEVEL_R).any(axis=1)
     S = symmetrizer(spec)
     rho_d = S.T @ rhos @ S
     return _herald_trajectory(
@@ -186,7 +188,7 @@ def _density_readout(times, spec, rhos, two_plus) -> Trajectory:
     )
 
 
-def _two_plus_dicke_vector(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
+def _two_plus_in_dicke(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
     """|2+> in the Dicke basis, from the n=2 dressed block alone."""
     plus, _ = dressed_block(params, 2)
     vec = np.zeros(dicke_dimension(spec.n_atoms))
@@ -196,24 +198,24 @@ def _two_plus_dicke_vector(params: LaserParams, spec: EnsembleSpec) -> np.ndarra
 
 
 def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
-    """(H, position of |G>, columns mapping its amplitudes to Dicke
-    amplitudes, or None for the Dicke model: no identity product)."""
+    """(H, columns mapping its amplitudes to Dicke amplitudes, or None for
+    the Dicke model: no identity product).  Every model holds |G> at
+    position 0."""
     spec, params = res.spec, res.params
     if model == "dicke":
-        return build_dicke_hamiltonian(params, spec), 0, None
+        return build_dicke_hamiltonian(params, spec), None
     if model == "full":
-        g = product_basis(spec).index[(0,) * spec.n_atoms]
-        return build_product_hamiltonian(params, spec), g, symmetrizer(spec)
+        return build_product_hamiltonian(params, spec), symmetrizer(spec)
     if model == "restricted6":
         rm = build_restricted_hamiltonian(params, spec)
-        return rm.h, 0, rm.dicke_columns.T
+        return rm.h, rm.dicke_columns.T
     # effective2: two-level model in the {|G>, |2+>} frame; residual detuning
     # from the difference between the configured delta_p and exact compensation
     d_resid = -2.0 * (params.delta_p - res.delta_p_resonance) + res.delta_eff
     h2 = np.array([[0.0, res.omega_eff / 2.0], [res.omega_eff / 2.0, d_resid]])
     ground = np.zeros_like(two_plus)
     ground[0] = 1.0
-    return h2, 0, np.array([ground, two_plus])
+    return h2, np.array([ground, two_plus])
 
 
 def run_protocol(
@@ -231,24 +233,18 @@ def run_protocol(
     res = cfg if isinstance(cfg, ResolvedProtocol) else resolve_protocol(cfg)
     spec, params = res.spec, res.params
     times = np.linspace(0.0, res.pulse_time, n_times)[1:]
-    two_plus = _two_plus_dicke_vector(params, spec)
+    two_plus = _two_plus_in_dicke(params, spec)
 
     if model == "lindblad":
-        pb = product_basis(spec)
-        g = pb.index[(0,) * spec.n_atoms]
-        rho0 = np.zeros((pb.dim, pb.dim), dtype=complex)
-        rho0[g, g] = 1.0
-        rhos = evolve_lindblad(
-            build_product_hamiltonian(params, spec),
-            lindblad_operators(res.rates, spec),
-            rho0,
-            times,
-        )
+        h = build_product_hamiltonian(params, spec)
+        rho0 = np.zeros(h.shape, dtype=complex)
+        rho0[0, 0] = 1.0  # |G>
+        rhos = evolve_lindblad(h, lindblad_operators(res.rates, spec), rho0, times)
         traj = _density_readout(times, spec, rhos, two_plus)
     else:
-        h, g, columns = _pure_model(model, res, two_plus)
+        h, columns = _pure_model(model, res, two_plus)
         psi0 = np.zeros(h.shape[0], dtype=complex)
-        psi0[g] = 1.0
+        psi0[0] = 1.0
         amps = propagate_pure(h, psi0, times)
         if columns is not None:
             amps = amps @ columns
@@ -342,7 +338,7 @@ def scan_delta_c(
     rows = [
         ScanRow(x=float(r), success=res.success_probability,
                 infidelity=res.infidelity)
-        for r, res in zip(ratios, _map_runs(pts, model, 41, n_workers))
+        for r, res in zip(ratios, _map_runs(pts, model, SCAN_N_TIMES, n_workers))
     ]
     xs = [row.x for row in rows]
     ys = [row.infidelity for row in rows]
@@ -461,7 +457,7 @@ def scan_omega_c(
             infidelity=res.infidelity,
             extra={"bound": 10.0 * cfg.effective_rabi_target / wc},
         )
-        for wc, res in zip(omega_c_grid, _map_runs(pts, model, 41, n_workers))
+        for wc, res in zip(omega_c_grid, _map_runs(pts, model, SCAN_N_TIMES, n_workers))
     ]
     return ScanResult("omega_c", rows)
 

@@ -1,10 +1,13 @@
-"""Closed forms and solvers that the package no longer uses, kept as test
-oracles."""
+"""Closed forms, solvers and per-state builders that the package no longer
+uses, kept as test oracles."""
 
+from itertools import product as iterproduct
 from math import sqrt
 
 import numpy as np
 from scipy.linalg import eig_banded
+
+from superatom.basis import LEVEL_E, LEVEL_G, LEVEL_R, BasisError, DickeIndex
 
 
 def effective_two_level(params, spec):
@@ -39,3 +42,109 @@ def whole_chain_states(h, psi0, times):
     evals, evecs = eigh_banded(h)
     c0 = evecs.conj().T @ psi0
     return (np.exp(-1j * np.outer(times, evals)) * c0) @ evecs.T
+
+
+# The tuple/dict product basis and the per-(state, atom) loops that the
+# array builds of basis, hamiltonians and dynamics replaced.
+
+
+class ProductBasis:
+    """Blockaded configurations as tuples over {0,1,2} (g,e,r) with at most
+    one 2, ordered lexicographically, and their tuple -> index dict."""
+
+    def __init__(self, spec):
+        self.states = [
+            c
+            for c in iterproduct((0, 1, 2), repeat=spec.n_atoms)
+            if c.count(LEVEL_R) <= 1
+        ]
+        self.index = {c: i for i, c in enumerate(self.states)}
+        self.dim = len(self.states)
+
+    def excitation_counts(self):
+        """(dim, 2) array of (j, s) per configuration."""
+        out = np.empty((self.dim, 2), dtype=int)
+        for i, c in enumerate(self.states):
+            out[i, 0] = c.count(LEVEL_E)
+            out[i, 1] = c.count(LEVEL_R)
+        return out
+
+
+def enumerate_dicke(spec):
+    """All admissible (j, s), ascending in n = j + s, then s. Count 2N+1."""
+    out = []
+    for n in range(spec.n_atoms + 1):
+        for s in (0, 1):
+            j = n - s
+            if j >= 0:
+                out.append(DickeIndex(j, s))
+    return out
+
+
+def dicke_vector(spec, idx):
+    """|E^j R^s> as a product-basis vector: equal positive amplitude on every
+    configuration with j atoms in e and s in r, normalized numerically."""
+    if not idx.admissible(spec):
+        raise BasisError(f"({idx.j},{idx.s}) not admissible for N={spec.n_atoms}")
+    counts = ProductBasis(spec).excitation_counts()
+    vec = ((counts[:, 0] == idx.j) & (counts[:, 1] == idx.s)).astype(float)
+    return vec / np.linalg.norm(vec)
+
+
+def symmetrizer(spec):
+    """The Dicke vectors as columns, in the Dicke ordering."""
+    return np.column_stack([dicke_vector(spec, idx) for idx in enumerate_dicke(spec)])
+
+
+def product_hamiltonian(params, spec):
+    """The product-basis Hamiltonian, one (state, atom) flip at a time."""
+    pb = ProductBasis(spec)
+    counts = pb.excitation_counts()
+    h = np.zeros((pb.dim, pb.dim))
+    diag = -counts[:, 0] * params.delta_p - counts[:, 1] * (
+        params.delta_p + params.delta_c
+    )
+    np.fill_diagonal(h, diag)
+    for i, c in enumerate(pb.states):
+        for k in range(spec.n_atoms):
+            if c[k] == LEVEL_G:
+                flipped = c[:k] + (LEVEL_E,) + c[k + 1 :]
+                h[i, pb.index[flipped]] += params.omega_p / 2.0
+            elif c[k] == LEVEL_E:
+                flipped_g = c[:k] + (LEVEL_G,) + c[k + 1 :]
+                h[i, pb.index[flipped_g]] += params.omega_p / 2.0
+                flipped_r = c[:k] + (LEVEL_R,) + c[k + 1 :]
+                if flipped_r in pb.index:
+                    h[i, pb.index[flipped_r]] += params.omega_c / 2.0
+            else:  # LEVEL_R
+                flipped_e = c[:k] + (LEVEL_E,) + c[k + 1 :]
+                h[i, pb.index[flipped_e]] += params.omega_c / 2.0
+    return h
+
+
+def jump_operators(rates, spec):
+    """(rate, matrix) jump operators, one (state, atom) flip at a time."""
+    ops = []
+    pb = ProductBasis(spec)
+    single = {
+        "gamma_e": (LEVEL_E, LEVEL_G),  # |g><e|
+        "gamma_r": (LEVEL_R, LEVEL_E),  # |e><r|
+        "gamma_d": (LEVEL_R, LEVEL_R),  # |r><r|
+    }
+    for name, (src, dst) in single.items():
+        rate = getattr(rates, name)
+        if rate <= 0:
+            continue
+        for k in range(spec.n_atoms):
+            op = np.zeros((pb.dim, pb.dim))
+            for i, c in enumerate(pb.states):
+                if c[k] == src:
+                    target = c[:k] + (dst,) + c[k + 1 :]
+                    op[pb.index[target], i] = 1.0
+            ops.append((rate, op))
+    if rates.gamma_coll > 0:
+        S = symmetrizer(spec)
+        for col in range(S.shape[1]):
+            v = S[:, col]
+            ops.append((rates.gamma_coll, np.outer(v, v)))
+    return ops

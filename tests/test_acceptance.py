@@ -8,13 +8,8 @@ are stated inline next to each check.
 import numpy as np
 import pytest
 
-from superatom.basis import (
-    DickeIndex,
-    EnsembleSpec,
-    dicke_vector,
-    product_basis,
-    symmetrizer,
-)
+from oracles import ProductBasis
+from superatom.basis import EnsembleSpec, symmetrizer
 from superatom.dynamics import (
     DecoherenceRates,
     evolve_lindblad,
@@ -255,7 +250,7 @@ def test_criterion_8_oracle_equivalences():
     spec = EnsembleSpec(2)
     params = LaserParams(2.0, 15.0, 1.0, -7.5)
     h = build_product_hamiltonian(params, spec)
-    pb = product_basis(spec)
+    pb = ProductBasis(spec)
     psi0 = np.zeros(pb.dim, dtype=complex)
     psi0[pb.index[(0, 0)]] = 1.0
     times = np.linspace(0.05, 1.0, 8)
@@ -270,7 +265,7 @@ def test_criterion_8_oracle_equivalences():
 
     # analytic single-atom oracles
     spec1 = EnsembleSpec(1)
-    pb1 = product_basis(spec1)
+    pb1 = ProductBasis(spec1)
     omega_p = 3.0
     h1 = build_product_hamiltonian(LaserParams(omega_p, 1e-12, 0, 0), spec1)
     psi = np.zeros(pb1.dim, dtype=complex)

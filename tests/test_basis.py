@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import ProductBasis, dicke_vector, enumerate_dicke
+from oracles import symmetrizer as reference_symmetrizer
 from superatom.basis import (
     LEVEL_E,
     LEVEL_G,
@@ -11,12 +13,9 @@ from superatom.basis import (
     CapacityError,
     DickeIndex,
     EnsembleSpec,
-    ProductBasis,
     dicke_dimension,
     dicke_labels,
     dicke_position,
-    dicke_vector,
-    enumerate_dicke,
     product_basis,
     product_dimension,
     symmetrizer,
@@ -35,7 +34,7 @@ class TestDimensions:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_product_dimension_formula(self, n):
         assert product_dimension(n) == brute_force_count(n)
-        assert product_basis(EnsembleSpec(n)).dim == product_dimension(n)
+        assert product_basis(EnsembleSpec(n)).shape == (product_dimension(n), n)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dicke_dimension(self, n):
@@ -44,7 +43,7 @@ class TestDimensions:
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
-            ProductBasis(EnsembleSpec(9))
+            product_basis(EnsembleSpec(9))
 
 
 class TestQuantumState:
@@ -81,7 +80,7 @@ class TestEnumeration:
         with pytest.raises(BasisError):
             dicke_position(spec, DickeIndex(4, 0))
         with pytest.raises(BasisError):
-            dicke_vector(spec, DickeIndex(3, 1))
+            dicke_position(spec, DickeIndex(3, 1))
 
     @given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 1))
     def test_admissibility_predicate(self, n, j, s):
@@ -99,36 +98,55 @@ class TestDickeVectors:
     def test_permutation_invariance(self, n):
         """Symmetrized vectors are unchanged under any atom relabeling."""
         spec = EnsembleSpec(n)
-        pb = product_basis(spec)
+        pb = ProductBasis(spec)
         rng = np.random.default_rng(n)
         perm = rng.permutation(n)
         P = np.zeros((pb.dim, pb.dim))
         for i, c in enumerate(pb.states):
             P[pb.index[tuple(c[p] for p in perm)], i] = 1.0
-        for idx in enumerate_dicke(spec):
-            v = dicke_vector(spec, idx)
-            assert np.allclose(P @ v, v, atol=1e-12)
+        S = symmetrizer(spec)
+        assert np.allclose(P @ S, S, atol=1e-12)
 
     def test_ground_state_is_all_g(self):
         spec = EnsembleSpec(4)
-        pb = product_basis(spec)
-        v = dicke_vector(spec, DickeIndex(0, 0))
+        pb = ProductBasis(spec)
+        v = symmetrizer(spec)[:, dicke_position(spec, DickeIndex(0, 0))]
         assert v[pb.index[(LEVEL_G,) * 4]] == 1.0
         assert np.count_nonzero(v) == 1
 
     def test_er_state_amplitudes(self):
         # |ER> for N=2: equal weight on (e,r) and (r,e)
         spec = EnsembleSpec(2)
-        pb = product_basis(spec)
-        v = dicke_vector(spec, DickeIndex(1, 1))
+        pb = ProductBasis(spec)
+        v = symmetrizer(spec)[:, dicke_position(spec, DickeIndex(1, 1))]
         nz = {c for c in pb.states if abs(v[pb.index[c]]) > 0}
         assert nz == {(LEVEL_E, LEVEL_R), (LEVEL_R, LEVEL_E)}
         assert np.allclose(v[v != 0], 1 / np.sqrt(2))
 
 
+class TestProductArrays:
+    """The array-built product basis against the tuple enumeration."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_levels_match_reference(self, n):
+        spec = EnsembleSpec(n)
+        assert np.array_equal(product_basis(spec), ProductBasis(spec).states)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ground_state_is_row_zero(self, n):
+        spec = EnsembleSpec(n)
+        assert not product_basis(spec)[0].any()
+        assert ProductBasis(spec).index[(LEVEL_G,) * n] == 0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symmetrizer_matches_reference(self, n):
+        spec = EnsembleSpec(n)
+        assert np.array_equal(symmetrizer(spec), reference_symmetrizer(spec))
+
+
 def brute_force_matrix_element(spec, j, s, transition):
     """<target| sum_k raise_k |E^j R^s> by explicit operator construction."""
-    pb = product_basis(spec)
+    pb = ProductBasis(spec)
     src, dst = (LEVEL_G, LEVEL_E) if transition == "ge" else (LEVEL_R, LEVEL_E)
     op = np.zeros((pb.dim, pb.dim))
     for i, c in enumerate(pb.states):

@@ -432,6 +432,43 @@ class TestMainEntry:
         assert len(err) == 1 and "invalid value for 'poisson_mean'" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment,text,key", [
+        ("ion-mc", "n_trajectories = 1\ntime_step_ns = 0.11\n", "time_step_ns"),
+        ("rabi", RABI_CFG + "pulse_time_us = 5e-324\n", "pulse_time_us"),
+        ("scan-dc", SCAN_DC_CFG + "pulse_time_us = 5e-324\n", "pulse_time_us"),
+        ("jc-demo", "n_atoms = 3\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
+         "probe_pulse_time_us = 0.2\ntotal_time_us = 5e-324\n", "total_time_us"),
+    ], ids=["ion-step", "rabi-pulse", "scan-dc-pulse", "jc-total-time"])
+    def test_unrunnable_value_rejected_while_parsing(self, tmp_path, capsys,
+                                                      experiment, text, key):
+        """An ion step above 0.1 ns, or a duration too short for distinct
+        output times, is a configuration error that names its key."""
+        code, out = run_cli(tmp_path, experiment, text)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"invalid value for '{key}'" in err[0]
+        assert not out.exists()
+
+    def test_unreadable_config_exit_code(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"n_atoms = \xff\n")
+        code = main(["rabi", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+
+    def test_value_error_in_a_run_is_not_a_config_error(self, tmp_path, capsys,
+                                                        monkeypatch):
+        """Only parse-time errors and BasisError refusals exit 2; any other
+        ValueError is a fault in the program and is not reported as one."""
+        from superatom import cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "run_protocol", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            run_cli(tmp_path, "rabi", RABI_CFG)
+        assert "configuration error" not in capsys.readouterr().err
+
     def test_jc_demo(self, tmp_path):
         text = (
             "n_atoms = 8\nomega_p_mhz = 1\nomega_c_mhz = 10\n"

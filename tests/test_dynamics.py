@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import superatom.dynamics
-from oracles import whole_chain_states
+from oracles import ProductBasis, jump_operators, whole_chain_states
 from superatom.basis import (
     BasisError,
     CapacityError,
@@ -15,7 +15,7 @@ from superatom.basis import (
     EnsembleSpec,
     dicke_labels,
     dicke_position,
-    product_basis,
+    product_dimension,
     symmetrizer,
 )
 from superatom.dynamics import (
@@ -59,7 +59,7 @@ class TestPurePropagation:
         params = LaserParams(omega_p, 1e-12, 0.0, 0.0)
         spec = EnsembleSpec(1)
         h = build_product_hamiltonian(params, spec)
-        pb = product_basis(spec)
+        pb = ProductBasis(spec)
         psi0 = np.zeros(pb.dim, dtype=complex)
         psi0[pb.index[(0,)]] = 1.0
         times = np.linspace(0.01, 5.0, 300)
@@ -162,7 +162,7 @@ class TestPurePropagation:
         spec = EnsembleSpec(8)
         h = build_product_hamiltonian(LaserParams(1.9, 628.0, 0.0, -314.0), spec)
         psi0 = np.zeros(h.shape[0], dtype=complex)
-        psi0[product_basis(spec).index[(0,) * 8]] = 1.0
+        psi0[ProductBasis(spec).index[(0,) * 8]] = 1.0
         times = np.linspace(0.0, 5.0, 4000)
         tracemalloc.start()
         try:
@@ -365,7 +365,7 @@ class TestBandedPropagation:
         spec = EnsembleSpec(8)
         h = build_product_hamiltonian(LaserParams(1.9, 628.0, 0.0, -314.0), spec)
         psi0 = np.zeros(h.shape[0], dtype=complex)
-        psi0[product_basis(spec).index[(0,) * 8]] = 1.0
+        psi0[ProductBasis(spec).index[(0,) * 8]] = 1.0
         propagate_pure(h, psi0, [0.5, 5.0])
         assert eigh_sizes == [1280]
 
@@ -394,6 +394,17 @@ class TestLindbladOperators:
             assert np.linalg.matrix_rank(op) == 8
         for _, op in ops_r:
             assert np.linalg.matrix_rank(op) == 4
+
+    @pytest.mark.parametrize("n_atoms", range(1, 5))
+    def test_matches_reference(self, n_atoms):
+        """Every channel equals the per-(state, atom) loop exactly."""
+        spec = EnsembleSpec(n_atoms)
+        rates = DecoherenceRates(gamma_e=0.6, gamma_r=0.3, gamma_d=0.2, gamma_coll=0.4)
+        got = lindblad_operators(rates, spec)
+        want = jump_operators(rates, spec)
+        assert [r for r, _ in got] == [r for r, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -445,7 +456,7 @@ class TestLiouvillian:
 
 class TestLindbladEvolution:
     def _pure_rho(self, spec):
-        pb = product_basis(spec)
+        pb = ProductBasis(spec)
         psi0 = np.zeros(pb.dim, dtype=complex)
         psi0[pb.index[(0,) * spec.n_atoms]] = 1.0
         return psi0, np.outer(psi0, psi0.conj())
@@ -465,7 +476,7 @@ class TestLindbladEvolution:
     def test_exponential_decay_oracle(self):
         """Single atom, no lasers, Gamma_e: P_e(t) = exp(-Gamma_e t)."""
         spec = EnsembleSpec(1)
-        pb = product_basis(spec)
+        pb = ProductBasis(spec)
         gamma = 1.7
         jumps = lindblad_operators(DecoherenceRates(gamma_e=gamma), spec)
         h = np.zeros((pb.dim, pb.dim))
@@ -483,7 +494,7 @@ class TestLindbladEvolution:
         jumps = lindblad_operators(
             DecoherenceRates(gamma_e=0.3, gamma_r=0.1), spec
         )
-        pb = product_basis(spec)
+        pb = ProductBasis(spec)
         rho1 = np.zeros((pb.dim, pb.dim), dtype=complex)
         rho1[0, 0] = 1.0
         k = pb.index[(1, 1)]
@@ -519,6 +530,15 @@ class TestLindbladEvolution:
                 [],
                 np.eye(dim, dtype=complex) / dim,
                 [1.0],
+            )
+
+    def test_capacity_is_the_density_limit(self):
+        """The master equation runs only in the product basis, up to N = 4:
+        the N = 5 product dimension (112) is refused."""
+        dim = product_dimension(5)
+        with pytest.raises(CapacityError):
+            evolve_lindblad(
+                np.zeros((dim, dim)), [], np.eye(dim, dtype=complex) / dim, [1.0]
             )
 
     def test_shape_mismatch(self):

@@ -5,17 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import effective_two_level
+from oracles import effective_two_level, enumerate_dicke, product_hamiltonian
 from superatom.basis import (
     DickeIndex,
     EnsembleSpec,
     dicke_dimension,
     dicke_position,
-    enumerate_dicke,
     symmetrizer,
 )
 from superatom.hamiltonians import (
-    TWO_PI,
     LaserParams,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
@@ -36,11 +34,6 @@ laser_params = st.builds(
 
 
 class TestLaserParams:
-    def test_from_mhz(self):
-        p = LaserParams.from_mhz(0.7, 10.0, 5.0, -5.0)
-        assert p.omega_p == pytest.approx(TWO_PI * 0.7)
-        assert p.delta_c == pytest.approx(-TWO_PI * 5.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LaserParams(-1.0, 10.0, 0.0, 0.0)
@@ -70,6 +63,15 @@ class TestHermiticity:
 
 
 class TestBasisEquivalence:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_product_matches_reference(self, n):
+        """The array build equals the per-(state, atom) loop exactly."""
+        params = LaserParams(1.3, 7.9, 0.6, -2.7)
+        spec = EnsembleSpec(n)
+        assert np.array_equal(
+            build_product_hamiltonian(params, spec), product_hamiltonian(params, spec)
+        )
+
     @settings(max_examples=25, deadline=None)
     @given(laser_params, st.integers(2, 5))
     def test_symmetrized_product_equals_dicke(self, params, n):

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import effective_two_level
+from oracles import effective_two_level, enumerate_dicke
 from superatom import cli, protocol
-from superatom.basis import EnsembleSpec, enumerate_dicke
+from superatom.basis import EnsembleSpec
 from superatom.dynamics import DecoherenceRates
 from superatom.hamiltonians import TWO_PI, LaserParams, resonance_probe_detuning
 from superatom.protocol import (
