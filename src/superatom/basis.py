@@ -24,6 +24,12 @@ LEVEL_G, LEVEL_E, LEVEL_R = 0, 1, 2
 # Dicke basis is the only supported representation.
 N_MAX_PRODUCT_VECTOR = 8
 N_MAX_PRODUCT_DENSITY = 4
+# The Dicke Hamiltonian is a dense (2N+1)^2 array.  At N = 2000 (one BLAS
+# thread) a rabi run peaks at 0.40 GB RSS in 0.7 s and a jc-demo, whose
+# spread state needs the whole chain, at 0.73 GB in 42 s; memory grows as
+# N^2 and the jc-demo eigensolver as N^3.  The limit keeps the lambda = 1e3
+# scan-n window (N <= 1190) inside.
+N_MAX_DICKE = 2000
 
 
 class CapacityError(Exception):

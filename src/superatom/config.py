@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import N_MAX_PRODUCT_VECTOR, EnsembleSpec
+from .basis import N_MAX_DICKE, N_MAX_PRODUCT_VECTOR, CapacityError, EnsembleSpec
 from .dynamics import DecoherenceRates
 from .hamiltonians import TWO_PI, LaserParams
-from .ion_escape import IonEscapeConfig
+from .ion_escape import ION_MAX_STEPS, IonEscapeConfig
 from .protocol import (
     AUTO_DELTA_P,
     MODELS,
@@ -33,6 +33,14 @@ class ConfigError(ValueError):
     """Invalid, missing, unknown or conflicting configuration input."""
 
 
+# Finite upper bounds, far above any physical value, that keep the squares
+# and products of the inputs finite in double precision.
+MAX_FREQUENCY_MHZ = 1e9  # every *_mhz key: 1 PHz, above optical frequencies
+MAX_FIELD_V_PER_M = 1e12  # above the atomic unit of field, 5.1e11 V/m
+MAX_RAMP_TIME_NS = 1e9  # 1 s
+MAX_SOFTENING_RADIUS_UM = 1e6  # 1 m
+
+
 @dataclass(frozen=True)
 class Key:
     """One schema entry: how to parse a value and whether it must appear."""
@@ -48,12 +56,16 @@ def _float(lo=None, hi=None, lo_open=False):
         if not np.isfinite(v):
             raise ValueError("must be finite")
         if lo is not None and (v < lo or (lo_open and v == lo)):
-            raise ValueError(f"must be {'>' if lo_open else '>='} {lo}")
+            raise ValueError(f"must be {'>' if lo_open else '>='} {lo:g}")
         if hi is not None and v > hi:
-            raise ValueError(f"must be <= {hi}")
+            raise ValueError(f"must be <= {hi:g}")
         return v
 
     return conv
+
+
+def _mhz(lo=-MAX_FREQUENCY_MHZ, lo_open=False):
+    return _float(lo, MAX_FREQUENCY_MHZ, lo_open)
 
 
 def _int(lo=None):
@@ -77,14 +89,14 @@ def _choice(*opts):
 
 _PROTOCOL_BASE = {
     "n_atoms": Key(_int(2), required=True),  # |2+> holds two excitations
-    "delta_p_mhz": Key(_float()),  # absent -> resonance + compensation
+    "delta_p_mhz": Key(_mhz()),  # absent -> resonance + compensation
     "pulse_time_us": Key(_float(0, lo_open=True)),
     "n_times": Key(_int(2), default=201),
     "model": Key(_choice(*MODELS)),
-    "gamma_e_mhz": Key(_float(0), default=0.0),
-    "gamma_r_mhz": Key(_float(0), default=0.0),
-    "gamma_d_mhz": Key(_float(0), default=0.0),
-    "gamma_coll_mhz": Key(_float(0), default=0.0),
+    "gamma_e_mhz": Key(_mhz(0), default=0.0),
+    "gamma_r_mhz": Key(_mhz(0), default=0.0),
+    "gamma_d_mhz": Key(_mhz(0), default=0.0),
+    "gamma_coll_mhz": Key(_mhz(0), default=0.0),
 }
 
 # (key_a, key_b, "exactly-one" | "at-most-one") enforced after parsing
@@ -92,10 +104,10 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     "rabi": (
         {
             **_PROTOCOL_BASE,
-            "omega_c_mhz": Key(_float(0, lo_open=True), required=True),
-            "omega_p_mhz": Key(_float(0, lo_open=True)),
-            "omega_eff_target_mhz": Key(_float(0, lo_open=True)),
-            "delta_c_mhz": Key(_float()),
+            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "omega_p_mhz": Key(_mhz(0, lo_open=True)),
+            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True)),
+            "delta_c_mhz": Key(_mhz()),
             "delta_c_over_omega_c": Key(_float(-3.0, 1.0)),
         },
         [
@@ -106,8 +118,8 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     "scan-dc": (
         {
             **_PROTOCOL_BASE,
-            "omega_c_mhz": Key(_float(0, lo_open=True), required=True),
-            "omega_eff_target_mhz": Key(_float(0, lo_open=True), required=True),
+            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True), required=True),
             "ratio_min": Key(_float(-3.0, 1.0), default=-3.0),
             "ratio_max": Key(_float(-3.0, 1.0), default=0.5),
             "n_points": Key(_int(2), default=36),
@@ -117,9 +129,9 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     "scan-oc": (
         {
             **_PROTOCOL_BASE,
-            "omega_eff_target_mhz": Key(_float(0, lo_open=True), required=True),
-            "omega_c_min_mhz": Key(_float(0, lo_open=True), default=20.0),
-            "omega_c_max_mhz": Key(_float(0, lo_open=True), default=200.0),
+            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "omega_c_min_mhz": Key(_mhz(0, lo_open=True), default=20.0),
+            "omega_c_max_mhz": Key(_mhz(0, lo_open=True), default=200.0),
             "n_points": Key(_int(2), default=7),
         },
         [],
@@ -128,8 +140,8 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
         {
             **{k: v for k, v in _PROTOCOL_BASE.items() if k != "n_atoms"},
             "poisson_mean": Key(_float(1.0), required=True),
-            "omega_c_mhz": Key(_float(0, lo_open=True), required=True),
-            "omega_eff_target_mhz": Key(_float(0, lo_open=True), required=True),
+            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True), required=True),
             "delta_c_over_omega_c": Key(_float(-3.0, 1.0), default=-0.5),
             "half_width_sigmas": Key(_float(1.0), default=6.0),
         },
@@ -138,12 +150,12 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     "lindblad-scan": (
         {
             **_PROTOCOL_BASE,
-            "omega_c_mhz": Key(_float(0, lo_open=True), required=True),
-            "omega_eff_target_mhz": Key(_float(0, lo_open=True), required=True),
+            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True), required=True),
             "delta_c_over_omega_c": Key(_float(-3.0, 1.0), default=-0.5),
             "channel": Key(_choice("gamma_e", "gamma_r", "gamma_d"), required=True),
-            "gamma_min_mhz": Key(_float(0), default=0.0),
-            "gamma_max_mhz": Key(_float(0, lo_open=True), required=True),
+            "gamma_min_mhz": Key(_mhz(0), default=0.0),
+            "gamma_max_mhz": Key(_mhz(0, lo_open=True), required=True),
             "n_points": Key(_int(2), default=6),
         },
         [],
@@ -151,8 +163,8 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     "jc-demo": (
         {
             "n_atoms": Key(_int(1), required=True),
-            "omega_p_mhz": Key(_float(0, lo_open=True), required=True),
-            "omega_c_mhz": Key(_float(0, lo_open=True), required=True),
+            "omega_p_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
             "probe_pulse_time_us": Key(_float(0, lo_open=True), required=True),
             "total_time_us": Key(_float(0, lo_open=True), required=True),
             "n_times": Key(_int(2), default=801),
@@ -161,8 +173,10 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     ),
     "ion-mc": (
         {
-            "ramp_field_max_v_per_m": Key(_float(0), default=1e5),
-            "ramp_time_ns": Key(_float(0, lo_open=True), default=300.0),
+            "ramp_field_max_v_per_m": Key(_float(0, MAX_FIELD_V_PER_M), default=1e5),
+            "ramp_time_ns": Key(
+                _float(0, MAX_RAMP_TIME_NS, lo_open=True), default=300.0
+            ),
             "trap_diameter_um": Key(_float(0, lo_open=True), default=1.0),
             "trap_volume_um3": Key(_float(0, lo_open=True), default=1.0),
             "n_atoms": Key(_int(2), default=100),
@@ -171,7 +185,9 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
                 _float(0), default=IonEscapeConfig.differential_polarizability
             ),
             "phase_threshold_rad": Key(_float(0, lo_open=True), default=0.01),
-            "softening_radius_um": Key(_float(0, lo_open=True), default=5e-3),
+            "softening_radius_um": Key(
+                _float(0, MAX_SOFTENING_RADIUS_UM, lo_open=True), default=5e-3
+            ),
             "n_trajectories": Key(_int(1), default=100),
             "seed": Key(_int(0), default=0),
             "ion_start": Key(_choice("uniform", "center"), default="uniform"),
@@ -279,17 +295,34 @@ def parse_config(text: str, experiment: str) -> RunConfig:
                 f"line {lines[key]}: invalid value for {key!r}: "
                 f"too short for {n - 1} distinct output times"
             )
+    if experiment not in ("scan-n", "ion-mc") and values["n_atoms"] > N_MAX_DICKE:
+        raise CapacityError(
+            f"line {lines['n_atoms']}: 'n_atoms' = {values['n_atoms']} exceeds "
+            f"the Dicke-basis limit {N_MAX_DICKE}"
+        )
     if experiment == "scan-n":
+        where = f"line {lines['poisson_mean']}"
         try:
             PoissonEnsemble.from_mean(
                 values["poisson_mean"], values["half_width_sigmas"]
             ).weights()
+        except CapacityError as exc:
+            raise CapacityError(f"{where}: 'poisson_mean': {exc}") from exc
         except ValueError as exc:
             raise ConfigError(
-                f"line {lines['poisson_mean']}: invalid value for 'poisson_mean': "
+                f"{where}: invalid value for 'poisson_mean': "
                 f"{exc} (atom numbers N >= 2 within "
                 f"{values['half_width_sigmas']:g} sigmas)"
             ) from exc
+    if experiment == "ion-mc":
+        ion = ion_config(RunConfig(experiment, values))
+        steps = ion.horizon / ion.time_step
+        if steps > ION_MAX_STEPS:
+            where = f"line {lines['time_step_ns']}: " if "time_step_ns" in lines else ""
+            raise ConfigError(
+                f"{where}invalid value for 'time_step_ns': {steps:.3g} steps over "
+                f"the {ion.horizon:g} ns horizon exceed the cap {ION_MAX_STEPS}"
+            )
     return RunConfig(experiment=experiment, values=values, provided=provided)
 
 

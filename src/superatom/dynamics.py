@@ -16,7 +16,10 @@ returned psi(t) is therefore within 2 * DROP_TOL of exp(-iHt) psi0 in norm.
 Density matrices evolve under
 rho' = -i[H, rho] + sum_k Gamma_k (L rho L^+ - 1/2 {L^+L, rho}) with an
 adaptive embedded Runge-Kutta integrator on the vectorized density matrix;
-the generator is built once per run as a sparse superoperator.
+the generator is built once per run as a sparse superoperator.  scipy
+(scipy.sparse, scipy.integrate) is imported inside liouvillian and
+evolve_lindblad, so only a master-equation run loads it; importing this
+module, and every pure-state run, needs numpy alone.
 Positivity is monitored, not enforced: a violation beyond tolerance fails
 the run instead of being silently projected away.
 """
@@ -24,10 +27,9 @@ the run instead of being silently projected away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .basis import (
     LEVEL_E,
@@ -42,6 +44,9 @@ from .basis import (
     single_atom_flips,
     symmetrizer,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 NORM_TOL = 1e-10
 DROP_TOL = 1e-13  # norm bound on the eigencomponents pure propagation drops
@@ -214,6 +219,8 @@ def liouvillian(
     vec(rho)' = (A kron I + I kron conj(A) + sum_k Gamma_k L_k kron conj(L_k))
     vec(rho).
     """
+    from scipy import sparse
+
     dim = h.shape[0]
     eye = sparse.eye_array(dim, dtype=complex, format="csr")
     k = sparse.csr_array((dim, dim), dtype=complex)
@@ -248,6 +255,7 @@ def evolve_lindblad(
         )
     if rho0.shape != (dim, dim):
         raise BasisError(f"rho0 shape {rho0.shape} incompatible with H {h.shape}")
+    from scipy.integrate import solve_ivp
 
     gen = liouvillian(h, jumps)
 

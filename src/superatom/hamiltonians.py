@@ -23,7 +23,9 @@ from .basis import (
     LEVEL_E,
     LEVEL_G,
     LEVEL_R,
+    N_MAX_DICKE,
     BasisError,
+    CapacityError,
     EnsembleSpec,
     dicke_dimension,
     dicke_labels,
@@ -96,6 +98,8 @@ def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarr
     diagonal, so the matrix is pentadiagonal.
     """
     n = spec.n_atoms
+    if n > N_MAX_DICKE:
+        raise CapacityError(f"Dicke basis for N={n} exceeds limit {N_MAX_DICKE}")
     j, s = dicke_labels(n)
     h = np.zeros((dicke_dimension(n),) * 2)
     np.fill_diagonal(h, -j * params.delta_p - s * (params.delta_p + params.delta_c))

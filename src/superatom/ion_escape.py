@@ -31,6 +31,12 @@ SR_CLOCK_DIFF_POLARIZABILITY = 4.078e-39  # C m^2 / V
 
 NO_ESCAPE = float("inf")
 
+# Cap on the velocity-Verlet steps over the horizon, max_time / time_step.
+# A step costs about 44 us for one trajectory and 0.67 ms for 100
+# trajectories of 100 atoms (one core), so a run at the cap that no ion
+# escapes takes about 44 s and 11 min; the default horizon is 3e4 steps.
+ION_MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class IonEscapeConfig:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from math import inf, log, nan, pi, sqrt
+from math import inf, lgamma, log, nan, pi, sqrt
 
 import numpy as np
-from scipy.special import gammaln
 
 from .basis import (
     LEVEL_R,
+    N_MAX_DICKE,
     N_MAX_PRODUCT_DENSITY,
     BasisError,
     CapacityError,
@@ -366,13 +366,18 @@ class PoissonEnsemble:
     def from_mean(cls, lam: float, half_width_sigmas: float = 6.0,
                   n_floor: int = 2) -> "PoissonEnsemble":
         hw = half_width_sigmas * sqrt(lam)
+        if lam + hw > N_MAX_DICKE:
+            raise CapacityError(
+                f"Poisson window up to N={lam + hw:.6g} exceeds limit {N_MAX_DICKE}"
+            )
         return cls(lam, max(n_floor, int(np.floor(lam - hw))),
                    int(np.ceil(lam + hw)))
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
         ns = np.arange(self.n_min, self.n_max + 1)
         lam = self.mean_atoms
-        w = np.exp(ns * log(lam) - lam - gammaln(ns + 1))  # Poisson pmf
+        log_fact = np.array([lgamma(n + 1) for n in ns.tolist()])
+        w = np.exp(ns * log(lam) - lam - log_fact)  # Poisson pmf
         if w.sum() < 1.0 - 1e-6:
             raise ValueError("truncation window covers < 1 - 1e-6 of mass")
         return ns, w / w.sum()

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr
@@ -11,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superatom
+from superatom.basis import N_MAX_DICKE
 from superatom.cli import _fmt, _round12, main
 from superatom.config import (
     EXPERIMENTS,
@@ -20,7 +25,7 @@ from superatom.config import (
     protocol_config,
 )
 from superatom.hamiltonians import TWO_PI
-from superatom.protocol import MODELS
+from superatom.protocol import MODELS, PoissonEnsemble
 
 RABI_CFG = """\
 # minimal four-atom run
@@ -438,16 +443,66 @@ class TestMainEntry:
         ("scan-dc", SCAN_DC_CFG + "pulse_time_us = 5e-324\n", "pulse_time_us"),
         ("jc-demo", "n_atoms = 3\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
          "probe_pulse_time_us = 0.2\ntotal_time_us = 5e-324\n", "total_time_us"),
-    ], ids=["ion-step", "rabi-pulse", "scan-dc-pulse", "jc-total-time"])
+        ("rabi", RABI_CFG.replace("omega_c_mhz = 10", "omega_c_mhz = 1e300"),
+         "omega_c_mhz"),
+        ("rabi", RABI_CFG.replace("delta_c_over_omega_c = -0.5",
+                                  "delta_c_mhz = 1e300"), "delta_c_mhz"),
+        ("scan-dc", SCAN_DC_CFG.replace("omega_c_mhz = 20", "omega_c_mhz = 1e300"),
+         "omega_c_mhz"),
+        ("ion-mc", "n_trajectories = 1\nsoftening_radius_um = 1e300\n",
+         "softening_radius_um"),
+        ("ion-mc", "n_trajectories = 1\nramp_field_max_v_per_m = 1e300\n",
+         "ramp_field_max_v_per_m"),
+        ("ion-mc", "n_trajectories = 1\nramp_time_ns = 1e300\nmax_time_ns = 50\n",
+         "ramp_time_ns"),
+        ("ion-mc", "n_trajectories = 1\nramp_field_max_v_per_m = 0\n"
+         "time_step_ns = 1e-300\nmax_time_ns = 1e300\n", "time_step_ns"),
+        ("ion-mc", "n_trajectories = 1\nramp_time_ns = 1e5\n", "time_step_ns"),
+    ], ids=["ion-step", "rabi-pulse", "scan-dc-pulse", "jc-total-time",
+            "rabi-omega-c", "rabi-delta-c", "scan-dc-omega-c", "ion-softening",
+            "ion-field", "ion-ramp-time", "ion-step-count", "ion-default-horizon"])
     def test_unrunnable_value_rejected_while_parsing(self, tmp_path, capsys,
-                                                      experiment, text, key):
-        """An ion step above 0.1 ns, or a duration too short for distinct
-        output times, is a configuration error that names its key."""
+                                                      monkeypatch, experiment,
+                                                      text, key):
+        """An ion step above 0.1 ns or beyond ION_MAX_STEPS over the horizon,
+        a duration too short for distinct output times, or a value above its
+        schema bound (which would overflow) is a configuration error that
+        names its key.  No ion trajectory is stepped."""
+        def refuse(cfg):
+            raise AssertionError("the ion Monte Carlo was started")
+
+        monkeypatch.setattr("superatom.cli.simulate_escape", refuse)
         code, out = run_cli(tmp_path, experiment, text)
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"invalid value for '{key}'" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,text,key", [
+        ("rabi", RABI_CFG.replace("n_atoms = 4", "n_atoms = 10000000"), "n_atoms"),
+        ("scan-n", "poisson_mean = 1e300\nomega_c_mhz = 20\n"
+         "omega_eff_target_mhz = 0.1\n", "poisson_mean"),
+        ("scan-n", "poisson_mean = 1e20\nomega_c_mhz = 20\n"
+         "omega_eff_target_mhz = 0.1\n", "poisson_mean"),
+    ], ids=["rabi-1e7", "scan-n-1e300", "scan-n-1e20"])
+    def test_dicke_capacity_refused_while_parsing(self, tmp_path, capsys,
+                                                  experiment, text, key):
+        """An atom number, or a Poisson window top, above N_MAX_DICKE exits 3
+        before any output is written."""
+        code, out = run_cli(tmp_path, experiment, text)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("capacity error: line ")
+        assert f"'{key}'" in err[0] and str(N_MAX_DICKE) in err[0]
+        assert not out.exists()
+
+    def test_dicke_limit_admits_the_largest_window(self):
+        """The lambda = 1e3 window (N up to 1190) and N = N_MAX_DICKE parse."""
+        rc = parse_config("poisson_mean = 1000\nomega_c_mhz = 20\n"
+                          "omega_eff_target_mhz = 0.1\n", "scan-n")
+        assert PoissonEnsemble.from_mean(rc.values["poisson_mean"]).n_max == 1190
+        text = RABI_CFG.replace("n_atoms = 4", f"n_atoms = {N_MAX_DICKE}")
+        assert parse_config(text, "rabi").values["n_atoms"] == N_MAX_DICKE
 
     def test_unreadable_config_exit_code(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -486,6 +541,60 @@ class TestMainEntry:
         )
         code, _ = run_cli(tmp_path, "jc-demo", text)
         assert code == 0
+
+
+# Runs cli.main on each argv of argv[1] (a JSON list) in a fresh interpreter,
+# then prints the exit codes and every scipy module that was imported.
+_FRESH_RUN = """\
+import json, sys
+from superatom.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+class TestImports:
+    """superatom-sim starts on numpy alone; scipy loads only for the master
+    equation."""
+
+    @staticmethod
+    def fresh_run(tmp_path, runs) -> dict:
+        argvs = []
+        for i, (experiment, text) in enumerate(runs):
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text(text)
+            argvs.append([experiment, "--config", str(cfg),
+                          "--out", str(tmp_path / f"out{i}")])
+        src = str(Path(superatom.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _FRESH_RUN, json.dumps(argvs)],
+                             capture_output=True, text=True, check=True, env=env)
+        return json.loads(run.stdout.splitlines()[-1])
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        assert self.fresh_run(tmp_path, []) == {"codes": [], "scipy": []}
+
+    def test_pure_state_runs_load_no_scipy(self, tmp_path):
+        runs = [
+            ("rabi", RABI_CFG + "model = dicke\nn_times = 11\n"),
+            ("rabi", RABI_CFG + "model = full\nn_times = 11\n"),
+            ("scan-n", "poisson_mean = 20\nomega_c_mhz = 20\n"
+             "omega_eff_target_mhz = 0.1\n"),
+            ("scan-dc", SCAN_DC_CFG),
+            ("jc-demo", "n_atoms = 3\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
+             "probe_pulse_time_us = 0.2\ntotal_time_us = 1\nn_times = 11\n"),
+            ("ion-mc", "n_trajectories = 2\nn_atoms = 3\n"),
+        ]
+        assert self.fresh_run(tmp_path, runs) == {"codes": [0] * 6, "scipy": []}
+
+    def test_master_equation_run_loads_scipy_integrate(self, tmp_path):
+        text = (RABI_CFG.replace("n_atoms = 4", "n_atoms = 2")
+                + "gamma_e_mhz = 0.01\npulse_time_us = 0.05\nn_times = 3\n")
+        got = self.fresh_run(tmp_path, [("rabi", text)])
+        assert got["codes"] == [0]
+        assert "scipy.integrate" in got["scipy"]
 
 
 # Configs the schemas accept, with every knob that sets a run's cost bounded:

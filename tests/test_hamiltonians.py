@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import effective_two_level, enumerate_dicke, product_hamiltonian
 from superatom.basis import (
+    N_MAX_DICKE,
+    CapacityError,
     DickeIndex,
     EnsembleSpec,
     dicke_dimension,
@@ -60,6 +62,12 @@ class TestHermiticity:
     def test_dicke_hermitian(self, params, n):
         h = build_dicke_hamiltonian(params, EnsembleSpec(n))
         assert np.allclose(h, h.T, atol=1e-12)
+
+    def test_dicke_capacity(self):
+        """Refused before the (2N+1)^2 array is allocated."""
+        params = LaserParams(1.0, 10.0, 0.0, 0.0)
+        with pytest.raises(CapacityError, match=f"limit {N_MAX_DICKE}"):
+            build_dicke_hamiltonian(params, EnsembleSpec(10**7))
 
 
 class TestBasisEquivalence:
