@@ -108,6 +108,17 @@ def single_atom_flips(
     return atom[kept], row[kept], to[kept]
 
 
+def permuted_rows(levels: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Row of every configuration once atom k takes the level of atom perm[k].
+
+    levels is a product_basis array; its base-3 codes ascend, so each
+    permuted code is found by binary search.
+    """
+    n = levels.shape[1]
+    place = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(levels @ place, levels[:, perm] @ place)
+
+
 def dicke_labels(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """(j, s) of every Dicke state as integer arrays, in the Dicke ordering."""
     k = np.arange(dicke_dimension(n_atoms))

@@ -8,13 +8,19 @@ number; every derived quantity is resolved before a run starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import N_MAX_DICKE, N_MAX_PRODUCT_VECTOR, CapacityError, EnsembleSpec
-from .dynamics import DecoherenceRates
-from .hamiltonians import TWO_PI, LaserParams
+from .basis import (
+    N_MAX_DICKE,
+    N_MAX_PRODUCT_DENSITY,
+    N_MAX_PRODUCT_VECTOR,
+    CapacityError,
+    EnsembleSpec,
+)
+from .dynamics import DecoherenceRates, check_lindblad_work, lindblad_operators
+from .hamiltonians import TWO_PI, LaserParams, build_product_hamiltonian
 from .ion_escape import ION_MAX_STEPS, IonEscapeConfig
 from .protocol import (
     AUTO_DELTA_P,
@@ -22,6 +28,7 @@ from .protocol import (
     SCAN_N_TIMES,
     PoissonEnsemble,
     ProtocolConfig,
+    resolve_protocol,
 )
 
 EXPERIMENTS = (
@@ -39,6 +46,14 @@ MAX_FREQUENCY_MHZ = 1e9  # every *_mhz key: 1 PHz, above optical frequencies
 MAX_FIELD_V_PER_M = 1e12  # above the atomic unit of field, 5.1e11 V/m
 MAX_RAMP_TIME_NS = 1e9  # 1 s
 MAX_SOFTENING_RADIUS_UM = 1e6  # 1 m
+# Positive lower bounds where a smaller value underflows.  lindblad-scan fits
+# a line to its rate grid with np.polyfit, which scales each column by its
+# 2-norm: below a largest rate of about 1e-162 MHz every square underflows,
+# the norm is 0 and the fit fails.  The floor sits far below any rate that
+# acts within a pulse.  An ion mass below about 1e-300 amu is 0 kg; the
+# lightest ion, the proton, is 1.007 amu.
+MIN_GAMMA_MAX_MHZ = 1e-12
+MIN_ION_MASS_AMU = 1.0
 
 
 @dataclass(frozen=True)
@@ -155,7 +170,7 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
             "delta_c_over_omega_c": Key(_float(-3.0, 1.0), default=-0.5),
             "channel": Key(_choice("gamma_e", "gamma_r", "gamma_d"), required=True),
             "gamma_min_mhz": Key(_mhz(0), default=0.0),
-            "gamma_max_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "gamma_max_mhz": Key(_mhz(MIN_GAMMA_MAX_MHZ), required=True),
             "n_points": Key(_int(2), default=6),
         },
         [],
@@ -180,7 +195,7 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
             "trap_diameter_um": Key(_float(0, lo_open=True), default=1.0),
             "trap_volume_um3": Key(_float(0, lo_open=True), default=1.0),
             "n_atoms": Key(_int(2), default=100),
-            "ion_mass_amu": Key(_float(0, lo_open=True), default=88.0),
+            "ion_mass_amu": Key(_float(MIN_ION_MASS_AMU), default=88.0),
             "differential_polarizability_si": Key(
                 _float(0), default=IonEscapeConfig.differential_polarizability
             ),
@@ -314,6 +329,8 @@ def parse_config(text: str, experiment: str) -> RunConfig:
                 f"{exc} (atom numbers N >= 2 within "
                 f"{values['half_width_sigmas']:g} sigmas)"
             ) from exc
+    if experiment in ("rabi", "lindblad-scan"):
+        _check_master_equation_work(RunConfig(experiment, values))
     if experiment == "ion-mc":
         ion = ion_config(RunConfig(experiment, values))
         steps = ion.horizon / ion.time_step
@@ -324,6 +341,25 @@ def parse_config(text: str, experiment: str) -> RunConfig:
                 f"the {ion.horizon:g} ns horizon exceed the cap {ION_MAX_STEPS}"
             )
     return RunConfig(experiment=experiment, values=values, provided=provided)
+
+
+def _check_master_equation_work(rc: RunConfig) -> None:
+    """dynamics.check_lindblad_work on a rabi run under the lindblad model,
+    or on a lindblad-scan at its largest rate.  Runs whose atom number the
+    master equation refuses are left to that refusal."""
+    cfg, model, _ = protocol_config(rc)
+    if rc.experiment == "lindblad-scan":
+        model = "lindblad"
+        v = rc.values
+        top = TWO_PI * max(v["gamma_min_mhz"], v["gamma_max_mhz"])
+        cfg = replace(cfg, rates=DecoherenceRates(**{v["channel"]: top}))
+    if model == "lindblad" and cfg.spec.n_atoms <= N_MAX_PRODUCT_DENSITY:
+        res = resolve_protocol(cfg)
+        check_lindblad_work(
+            build_product_hamiltonian(res.params, res.spec),
+            lindblad_operators(res.rates, res.spec),
+            res.pulse_time,
+        )
 
 
 def _resolve_delta_c(values: dict, omega_c: float) -> float:

@@ -7,12 +7,14 @@ H can reach from psi0's support; K then grows to 2K+1 (at most dim) until
 the Duhamel bound on the leakage out of the block, T * sum_j |c_j| *
 ||H[K:, :K] u_j|| with T = max |t|, is at most DROP_TOL.  In the Dicke
 ordering the block is the states with the fewest excitations; a
-Hamiltonian whose couplings reach far from the diagonal, such as the
+Hamiltonian whose couplings reach far from the diagonal, such as a
 product-basis one, gets K = dim at once.  Of the block's eigencomponents
 only those that carry psi0 are propagated: the smallest overlaps whose
-squared moduli sum to at most DROP_TOL**2 are dropped (from |G> in the
-product basis, only the 2N+1 symmetric eigenvectors are kept).  Every
-returned psi(t) is therefore within 2 * DROP_TOL of exp(-iHt) psi0 in norm.
+squared moduli sum to at most DROP_TOL**2 are dropped.  Every returned
+psi(t) is therefore within 2 * DROP_TOL of exp(-iHt) psi0 in norm.  The
+protocol's full model does not hand the product-basis H to this
+propagator: it propagates the exchange-symmetric block S^T H S
+(hamiltonians.symmetric_block), 2N+1 states instead of 1,280 at N = 8.
 Density matrices evolve under
 rho' = -i[H, rho] + sum_k Gamma_k (L rho L^+ - 1/2 {L^+L, rho}) with an
 adaptive embedded Runge-Kutta integrator on the vectorized density matrix;
@@ -57,6 +59,15 @@ LINDBLAD_RTOL = 1e-8  # DOP853 tolerances of the master equation
 LINDBLAD_ATOL = 1e-10
 # the master equation runs in the product basis only
 LINDBLAD_MAX_DIM = product_dimension(N_MAX_PRODUCT_DENSITY)
+# DOP853 takes 1.2-4.9 right-hand-side evaluations per unit of the work
+# check_lindblad_work computes for protocol runs (a weak probe; N = 3 and 4,
+# pulses of 0.05-50 us, Omega_c and rates up to 1e4 MHz), and up to 27 for
+# 80 random drives at N = 2 and 3 (a strong probe).  One evaluation takes
+# about 30 us at N = 3 and 115 us at N = 4 on one core, so at the cap a
+# protocol run takes at most about 15 s (N = 3) and 60 s (N = 4), a
+# strong-probe run up to about 5 min.  The criterion-6 point (N = 3,
+# Omega_c = 100 MHz, 5 us) does 9.5e3.
+LINDBLAD_MAX_WORK = 1e5
 
 
 class NumericalFailure(RuntimeError):
@@ -237,6 +248,22 @@ def liouvillian(
     )
 
 
+def check_lindblad_work(
+    h: np.ndarray, jumps: list[tuple[float, np.ndarray]], horizon: float
+) -> None:
+    """Raise CapacityError when the work T * (||H||_inf + ||K||_inf), with
+    K = sum_k Gamma_k L_k^+ L_k, exceeds LINDBLAD_MAX_WORK: the generator's
+    frequency scale times the horizon, which the integrator's steps follow."""
+    k = sum((rate * (op.conj().T @ op) for rate, op in jumps), np.zeros(h.shape))
+    work = horizon * (np.abs(h).sum(axis=1).max() + np.abs(k).sum(axis=1).max())
+    if work > LINDBLAD_MAX_WORK:
+        raise CapacityError(
+            f"master-equation work T*(|H| + |K|) = {work:.3g} exceeds the cap "
+            f"{LINDBLAD_MAX_WORK:g}; shorten the pulse or lower the frequencies "
+            "or decay rates"
+        )
+
+
 def evolve_lindblad(
     h: np.ndarray,
     jumps: list[tuple[float, np.ndarray]],
@@ -255,6 +282,7 @@ def evolve_lindblad(
         )
     if rho0.shape != (dim, dim):
         raise BasisError(f"rho0 shape {rho0.shape} incompatible with H {h.shape}")
+    check_lindblad_work(h, jumps, float(times[-1]))
     from scipy.integrate import solve_ivp
 
     gen = liouvillian(h, jumps)

@@ -29,9 +29,12 @@ from .basis import (
     EnsembleSpec,
     dicke_dimension,
     dicke_labels,
+    permuted_rows,
     product_basis,
     single_atom_flips,
+    symmetrizer,
 )
+from .dynamics import NumericalFailure
 
 TWO_PI = 2.0 * pi
 
@@ -86,6 +89,38 @@ def build_product_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.nda
         h[rows, cols] = el
         h[cols, rows] = el
     return h
+
+
+def symmetric_block(h: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
+    """S^T H S on the 2N+1 Dicke states (S = symmetrizer(spec)) of a
+    product-basis Hamiltonian that is exactly exchange-symmetric.
+
+    H must be real-symmetric and unchanged, bit for bit, by the two
+    generators of atom exchange: swapping atoms 0 and 1, and a cyclic
+    shift of the atoms.  Then span(S) is invariant under H, so
+    exp(-iHt) S x = S exp(-i S^T H S t) x exactly.  Raises
+    NumericalFailure otherwise (a non-finite H fails the first check).
+    """
+    levels = product_basis(spec)
+    if h.shape != (len(levels),) * 2:
+        raise BasisError(f"H {h.shape} is not over the N={spec.n_atoms} product basis")
+    # Only the nonzero entries are compared: a bijection of the positions
+    # that maps each of them onto an equal entry maps the nonzero pattern
+    # onto itself, and so the zeros onto zeros.
+    rows, cols = np.divmod(np.flatnonzero(h != 0), len(levels))
+    vals = h[rows, cols]
+    if not (np.isrealobj(h) and np.array_equal(h[cols, rows], vals)):
+        raise NumericalFailure("product Hamiltonian is not real-symmetric")
+    swap = np.arange(spec.n_atoms)
+    swap[:2] = swap[:2][::-1]  # atoms 0 and 1 (none to swap at N = 1)
+    for perm in (swap, np.roll(np.arange(spec.n_atoms), 1)):
+        moved = permuted_rows(levels, perm)
+        if not np.array_equal(h[moved[rows], moved[cols]], vals):
+            raise NumericalFailure(
+                "product Hamiltonian is not invariant under atom exchange"
+            )
+    s = symmetrizer(spec)
+    return s.T @ h @ s
 
 
 def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:

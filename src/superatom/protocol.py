@@ -44,6 +44,7 @@ from .hamiltonians import (
     dressed_block,
     resonance_probe_detuning,
     second_order_reduction,
+    symmetric_block,
 )
 
 MODELS = ("full", "dicke", "restricted6", "effective2", "lindblad")
@@ -198,14 +199,18 @@ def _two_plus_in_dicke(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
 
 
 def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
-    """(H, columns mapping its amplitudes to Dicke amplitudes, or None for
-    the Dicke model: no identity product).  Every model holds |G> at
-    position 0."""
+    """(H, columns mapping its amplitudes to Dicke amplitudes, or None when
+    they already are Dicke amplitudes).  Every model holds |G> at position 0.
+
+    The full model builds the product-basis Hamiltonian and propagates its
+    exchange-symmetric block S^T H S, which symmetric_block checks exactly:
+    from the symmetric |G> the state never leaves span(S).
+    """
     spec, params = res.spec, res.params
     if model == "dicke":
         return build_dicke_hamiltonian(params, spec), None
     if model == "full":
-        return build_product_hamiltonian(params, spec), symmetrizer(spec)
+        return symmetric_block(build_product_hamiltonian(params, spec), spec), None
     if model == "restricted6":
         rm = build_restricted_hamiltonian(params, spec)
         return rm.h, rm.dicke_columns.T

@@ -36,6 +36,9 @@ omega_p_mhz = 0.7
 delta_c_over_omega_c = -0.5
 """
 
+LINDBLAD_CFG = (Path(__file__).parents[1] / "configs"
+                / "lindblad_gamma_e_n3.cfg").read_text()
+
 SCAN_DC_CFG = (
     "n_atoms = 3\nomega_c_mhz = 20\nomega_eff_target_mhz = 0.1\n"
     "ratio_min = -1.0\nratio_max = -0.4\nn_points = 4\n"
@@ -458,25 +461,98 @@ class TestMainEntry:
         ("ion-mc", "n_trajectories = 1\nramp_field_max_v_per_m = 0\n"
          "time_step_ns = 1e-300\nmax_time_ns = 1e300\n", "time_step_ns"),
         ("ion-mc", "n_trajectories = 1\nramp_time_ns = 1e5\n", "time_step_ns"),
+        ("ion-mc", "n_trajectories = 1\nion_mass_amu = 1e-300\n", "ion_mass_amu"),
+        ("ion-mc", "n_trajectories = 1\nion_mass_amu = 0.5\n", "ion_mass_amu"),
+        ("lindblad-scan", LINDBLAD_CFG.replace("gamma_max_mhz = 0.001",
+                                               "gamma_max_mhz = 1e-300"),
+         "gamma_max_mhz"),
     ], ids=["ion-step", "rabi-pulse", "scan-dc-pulse", "jc-total-time",
             "rabi-omega-c", "rabi-delta-c", "scan-dc-omega-c", "ion-softening",
-            "ion-field", "ion-ramp-time", "ion-step-count", "ion-default-horizon"])
+            "ion-field", "ion-ramp-time", "ion-step-count", "ion-default-horizon",
+            "ion-mass-underflow", "ion-mass-below-proton", "lindblad-gamma-subnormal"])
     def test_unrunnable_value_rejected_while_parsing(self, tmp_path, capsys,
                                                       monkeypatch, experiment,
                                                       text, key):
         """An ion step above 0.1 ns or beyond ION_MAX_STEPS over the horizon,
-        a duration too short for distinct output times, or a value above its
-        schema bound (which would overflow) is a configuration error that
-        names its key.  No ion trajectory is stepped."""
-        def refuse(cfg):
-            raise AssertionError("the ion Monte Carlo was started")
+        a duration too short for distinct output times, or a value beyond
+        its schema bounds (which would overflow or underflow) is a
+        configuration error that names its key.  No ion trajectory is
+        stepped and no master equation integrated."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run was started")
 
         monkeypatch.setattr("superatom.cli.simulate_escape", refuse)
+        monkeypatch.setattr("superatom.cli.scan_decoherence", refuse)
         code, out = run_cli(tmp_path, experiment, text)
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"invalid value for '{key}'" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,text", [
+        ("lindblad-scan", LINDBLAD_CFG + "pulse_time_us = 1e9\n"),
+        ("lindblad-scan", LINDBLAD_CFG.replace("omega_c_mhz = 100",
+                                               "omega_c_mhz = 1e9")),
+        ("lindblad-scan", LINDBLAD_CFG.replace("gamma_max_mhz = 0.001",
+                                               "gamma_max_mhz = 1e9")),
+        ("lindblad-scan", LINDBLAD_CFG + "delta_p_mhz = -1e9\n"),
+        ("lindblad-scan", LINDBLAD_CFG.replace("omega_eff_target_mhz = 0.1",
+                                               "omega_eff_target_mhz = 1e-300")),
+        ("rabi", RABI_CFG + "gamma_e_mhz = 0.01\npulse_time_us = 1e9\n"),
+        ("rabi", RABI_CFG + "model = lindblad\npulse_time_us = 1e4\n"),
+    ], ids=["scan-pulse", "scan-omega-c", "scan-gamma", "scan-delta-p",
+            "scan-target", "rabi-decay-pulse", "rabi-lindblad-pulse"])
+    def test_master_equation_work_refused_while_parsing(self, tmp_path, capsys,
+                                                        monkeypatch, experiment,
+                                                        text):
+        """A master-equation run whose T * (||H|| + ||K||) exceeds
+        LINDBLAD_MAX_WORK exits 3 before any output is written; DOP853 is
+        never started."""
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DOP853 was started")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+        code, out = run_cli(tmp_path, experiment, text)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("capacity error: master-equation work")
+        assert not out.exists()
+
+    def test_master_equation_work_refused_per_scan_point(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """A scan under model = lindblad solves its probe per point, so each
+        point is checked as its master equation starts (exit 3)."""
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DOP853 was started")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+        code, _ = run_cli(tmp_path, "scan-dc",
+                          SCAN_DC_CFG + "model = lindblad\npulse_time_us = 1e9\n")
+        assert code == 3
+        assert "master-equation work" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment,text", [
+        ("lindblad-scan", LINDBLAD_CFG),
+        ("lindblad-scan", LINDBLAD_CFG.replace("n_atoms = 3", "n_atoms = 4")),
+        ("rabi", RABI_CFG.replace("omega_c_mhz = 10", "omega_c_mhz = 20")
+         .replace("omega_p_mhz = 0.7", "omega_eff_target_mhz = 0.1")
+         + "gamma_e_mhz = 0.00115\n"),
+    ], ids=["example-config", "n4", "benchmark-rabi-n4"])
+    def test_master_equation_configs_well_inside_the_work_cap(
+            self, monkeypatch, experiment, text):
+        """configs/lindblad_gamma_e_n3.cfg (the criterion-6 point), its N = 4
+        twin and the benchmark's N = 4 decay run parse with a cap five times
+        lower."""
+        from superatom import dynamics
+
+        monkeypatch.setattr(dynamics, "LINDBLAD_MAX_WORK",
+                            dynamics.LINDBLAD_MAX_WORK / 5)
+        parse_config(text, experiment)
 
     @pytest.mark.parametrize("experiment,text,key", [
         ("rabi", RABI_CFG.replace("n_atoms = 4", "n_atoms = 10000000"), "n_atoms"),

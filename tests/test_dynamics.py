@@ -20,6 +20,7 @@ from superatom.basis import (
 )
 from superatom.dynamics import (
     DROP_TOL,
+    LINDBLAD_MAX_WORK,
     DecoherenceRates,
     NumericalFailure,
     Trajectory,
@@ -544,6 +545,52 @@ class TestLindbladEvolution:
     def test_shape_mismatch(self):
         with pytest.raises(BasisError):
             evolve_lindblad(np.zeros((4, 4)), [], np.eye(3, dtype=complex) / 3, [1.0])
+
+    @staticmethod
+    def _work_case(spec, horizon, gamma):
+        h = build_product_hamiltonian(LaserParams(20.0, 600.0, 10.0, -300.0), spec)
+        jumps = lindblad_operators(DecoherenceRates(gamma_e=gamma), spec)
+        rho0 = np.zeros(h.shape, dtype=complex)
+        rho0[0, 0] = 1.0
+        # ||H||_inf + ||K||_inf of this case, summed by hand
+        k = sum((rate * op.T @ op for rate, op in jumps), np.zeros(h.shape))
+        scale = np.abs(h).sum(axis=1).max() + np.abs(k).sum(axis=1).max()
+        return h, jumps, rho0, horizon * scale
+
+    @pytest.mark.parametrize("gamma", [0.0, 50.0])
+    def test_work_cap_refused_before_integrating(self, monkeypatch, gamma):
+        """A horizon just past LINDBLAD_MAX_WORK / scale is a capacity error;
+        the integrator is never started."""
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("DOP853 was started")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
+        h, jumps, rho0, scale = self._work_case(EnsembleSpec(2), 1.0, gamma)
+        with pytest.raises(CapacityError, match="master-equation work"):
+            evolve_lindblad(h, jumps, rho0, [1.001 * LINDBLAD_MAX_WORK / scale])
+
+    @pytest.mark.parametrize("horizon,gamma", [(1.0, 0.0), (4.0, 0.0), (1.0, 500.0),
+                                               (0.1, 1e4)])
+    def test_work_tracks_the_integrator(self, monkeypatch, horizon, gamma):
+        """At a work of 10^3-10^4 DOP853 takes 1-27 right-hand-side
+        evaluations per unit of it, the range LINDBLAD_MAX_WORK was measured
+        on."""
+        import scipy.integrate
+
+        real = scipy.integrate.solve_ivp
+        nfev = []
+
+        def counting(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+        h, jumps, rho0, work = self._work_case(EnsembleSpec(3), horizon, gamma)
+        evolve_lindblad(h, jumps, rho0, [horizon])
+        assert 1.0 <= nfev[0] / work <= 27.0
 
 
 class TestObservables:

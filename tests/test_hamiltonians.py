@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from oracles import effective_two_level, enumerate_dicke, product_hamiltonian
 from superatom.basis import (
     N_MAX_DICKE,
+    BasisError,
     CapacityError,
     DickeIndex,
     EnsembleSpec,
     dicke_dimension,
     dicke_position,
+    product_basis,
     symmetrizer,
 )
 from superatom.hamiltonians import (
@@ -24,7 +26,9 @@ from superatom.hamiltonians import (
     dressed_block,
     resonance_probe_detuning,
     second_order_reduction,
+    symmetric_block,
 )
+from superatom.dynamics import NumericalFailure
 
 laser_params = st.builds(
     LaserParams,
@@ -99,6 +103,68 @@ class TestBasisEquivalence:
         hp = build_product_hamiltonian(params, spec)
         hs = hp @ S
         assert np.max(np.abs(hs - S @ (S.T @ hs))) < 1e-10
+
+
+class TestSymmetricBlock:
+    """symmetric_block checks exchange symmetry exactly, then projects."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_dicke(self, n):
+        params = LaserParams(1.3, 7.9, 0.6, -2.7)
+        spec = EnsembleSpec(n)
+        block = symmetric_block(build_product_hamiltonian(params, spec), spec)
+        assert np.max(np.abs(block - build_dicke_hamiltonian(params, spec))) < 1e-12
+
+    @staticmethod
+    def product(n):
+        return build_product_hamiltonian(LaserParams(1.3, 7.9, 0.6, -2.7),
+                                         EnsembleSpec(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_one_perturbed_coupling_refused(self, n, coupled):
+        """One off-diagonal pair moved by one ulp breaks the symmetry: the
+        probe coupling of |G> to |g..ge>, which only the cyclic shift moves
+        (N >= 3), or the zero between |G> and |re..e>, which the swap moves."""
+        h = self.product(n)
+        col = np.flatnonzero(h[0])[0] if coupled else np.flatnonzero(h[0] == 0)[-1]
+        h[0, col] = h[col, 0] = np.nextafter(h[0, col], np.inf)
+        with pytest.raises(NumericalFailure, match="atom exchange"):
+            symmetric_block(h, EnsembleSpec(n))
+
+    def test_cyclic_but_not_exchange_symmetric_refused(self):
+        """A coupling added along the orbit of (|ger>, |rge>) under the
+        cyclic shift alone keeps that symmetry; the swap of atoms 0 and 1
+        refuses it."""
+        h = self.product(3)
+        levels = product_basis(EnsembleSpec(3)).tolist()
+        row = {tuple(c): k for k, c in enumerate(levels)}
+        a, b = (0, 1, 2), (2, 0, 1)
+        for _ in range(3):
+            h[row[a], row[b]] = h[row[b], row[a]] = 0.5
+            a, b = a[-1:] + a[:-1], b[-1:] + b[:-1]
+        with pytest.raises(NumericalFailure, match="atom exchange"):
+            symmetric_block(h, EnsembleSpec(3))
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_non_symmetric_refused(self, n):
+        h = self.product(n)
+        col = int(np.flatnonzero(h[0])[0])
+        h[0, col] = np.nextafter(h[0, col], np.inf)
+        with pytest.raises(NumericalFailure, match="real-symmetric"):
+            symmetric_block(h, EnsembleSpec(n))
+
+    @pytest.mark.parametrize("change", ["complex", "nan"])
+    def test_complex_or_non_finite_refused(self, change):
+        h = self.product(3)
+        h = h.astype(complex) if change == "complex" else h
+        h[0, 0] = np.nan if change == "nan" else h[0, 0]
+        with pytest.raises(NumericalFailure, match="real-symmetric"):
+            symmetric_block(h, EnsembleSpec(3))
+
+    def test_wrong_dimension_refused(self):
+        with pytest.raises(BasisError):
+            symmetric_block(self.product(3), EnsembleSpec(4))
 
 
 class TestDressedStates:

@@ -7,9 +7,14 @@ import pytest
 
 from oracles import effective_two_level, enumerate_dicke
 from superatom import cli, protocol
-from superatom.basis import EnsembleSpec
-from superatom.dynamics import DecoherenceRates
-from superatom.hamiltonians import TWO_PI, LaserParams, resonance_probe_detuning
+from superatom.basis import EnsembleSpec, symmetrizer
+from superatom.dynamics import DecoherenceRates, propagate_pure
+from superatom.hamiltonians import (
+    TWO_PI,
+    LaserParams,
+    build_product_hamiltonian,
+    resonance_probe_detuning,
+)
 from superatom.protocol import (
     AUTO_DELTA_P,
     PoissonEnsemble,
@@ -107,6 +112,38 @@ class TestRunProtocol:
         assert a.success_probability == pytest.approx(
             b.success_probability, abs=1e-8
         )
+
+    @pytest.mark.parametrize("n,n_times", [(2, 101), (3, 101), (4, 101), (5, 101),
+                                           (8, 6)])
+    def test_full_matches_whole_product_propagation(self, n, n_times):
+        """The full model, propagated on its symmetric block, reads out what
+        propagating the whole product-basis H from |G> does, to 1e-12."""
+        res = resolve_protocol(canonical_config(n_atoms=n))
+        got = run_protocol(res, model="full", n_times=n_times).trajectory
+        h = build_product_hamiltonian(res.params, res.spec)
+        psi0 = np.zeros(h.shape[0], dtype=complex)
+        psi0[0] = 1.0
+        amps = propagate_pure(h, psi0, got.times) @ symmetrizer(res.spec)
+        want = protocol._pure_readout(
+            got.times, res.spec, amps,
+            protocol._two_plus_in_dicke(res.params, res.spec),
+        )
+        for key, pops in want.populations.items():
+            assert np.max(np.abs(got.populations[key] - pops)) < 1e-12, key
+
+    def test_full_diagonalises_only_the_symmetric_block(self, monkeypatch):
+        """At N = 8 no eigh sees more than the 2N+1 = 17 Dicke states."""
+        real = np.linalg.eigh
+        sizes = []
+
+        def recording(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        result = run_protocol(canonical_config(n_atoms=8), model="full", n_times=11)
+        assert result.success_probability > 0.5
+        assert sizes and max(sizes) == 17
 
     def test_lindblad_zero_rates_matches_dicke(self):
         cfg = canonical_config(n_atoms=3, omega_c_mhz=100.0)
