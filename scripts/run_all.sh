@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Run every example experiment into results/<name>/.
-# Usage: scripts/run_all.sh [results_dir] [workers]
+# Usage: scripts/run_all.sh [results_dir]
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 out="${1:-$root/results}"
-workers="${2:-${SUPERATOM_WORKERS:-1}}"
 
 run() { # experiment config-name
     echo "== $1 ($2) =="
-    superatom-sim "$1" --config "$root/configs/$2.cfg" \
-        --out "$out/$2" --workers "$workers"
+    superatom-sim "$1" --config "$root/configs/$2.cfg" --out "$out/$2"
 }
 
 run rabi rabi_n4

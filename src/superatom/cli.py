@@ -1,9 +1,9 @@
 """Command-line entry point: run one experiment, emit CSV/JSON artifacts.
 
-Usage: superatom-sim <experiment> --config FILE --out DIR [--workers K] [--seed S]
+Usage: superatom-sim <experiment> --config FILE --out DIR
 
---workers (default $SUPERATOM_WORKERS, else 1) sizes the process pool of
-the scans; ion-mc runs in one process and ignores it.
+Every experiment runs in the calling process.  --workers is accepted only
+as 1, for compatibility with older command lines.
 
 Exit codes: 0 success, 2 configuration error (refused while parsing, or a
 BasisError refusal such as a probe too weak for a finite pi-pulse),
@@ -16,19 +16,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .basis import BasisError, CapacityError
+from .basis import BasisError, CapacityError, EnsembleSpec
 from .config import EXPERIMENTS, ConfigError, ion_config, parse_config, protocol_config
 from .dynamics import NumericalFailure, Trajectory
-from .hamiltonians import TWO_PI
+from .hamiltonians import TWO_PI, LaserParams
 from .ion_escape import simulate_escape
 from .protocol import (
     PoissonEnsemble,
@@ -135,7 +133,7 @@ def _resolved_dict(res) -> dict:
     }
 
 
-def _run_rabi(rc, out: Path, workers: int) -> None:
+def _run_rabi(rc, out: Path) -> None:
     cfg, model, n_times = protocol_config(rc)
     result = run_protocol(cfg, model=model, n_times=n_times)
     write_trajectory(out / "trajectory.csv", result.trajectory)
@@ -150,11 +148,11 @@ def _run_rabi(rc, out: Path, workers: int) -> None:
     )
 
 
-def _run_scan_dc(rc, out: Path, workers: int) -> None:
+def _run_scan_dc(rc, out: Path) -> None:
     cfg, model, _ = protocol_config(rc)
     v = rc.values
     ratios = np.linspace(v["ratio_min"], v["ratio_max"], v["n_points"])
-    scan = scan_delta_c(cfg, ratios, model=model, n_workers=workers)
+    scan = scan_delta_c(cfg, ratios, model=model)
     write_csv(
         out / "scan.csv",
         ["delta_c_over_omega_c", "success", "infidelity"],
@@ -168,13 +166,13 @@ def _run_scan_dc(rc, out: Path, workers: int) -> None:
     )
 
 
-def _run_scan_oc(rc, out: Path, workers: int) -> None:
+def _run_scan_oc(rc, out: Path) -> None:
     cfg, model, _ = protocol_config(rc)
     v = rc.values
     grid = TWO_PI * np.geomspace(
         v["omega_c_min_mhz"], v["omega_c_max_mhz"], v["n_points"]
     )
-    scan = scan_omega_c(cfg, grid, model=model, n_workers=workers)
+    scan = scan_omega_c(cfg, grid, model=model)
     for r in scan.rows:
         if r.infidelity is None or r.infidelity <= 0:
             value = "undefined" if r.infidelity is None else _fmt(r.infidelity)
@@ -203,13 +201,13 @@ def _run_scan_oc(rc, out: Path, workers: int) -> None:
     )
 
 
-def _run_scan_n(rc, out: Path, workers: int) -> None:
+def _run_scan_n(rc, out: Path) -> None:
     cfg, model, _ = protocol_config(rc)
     v = rc.values
     ensemble = PoissonEnsemble.from_mean(
         v["poisson_mean"], half_width_sigmas=v["half_width_sigmas"]
     )
-    avg = poisson_average(cfg, ensemble, model=model, n_workers=workers)
+    avg = poisson_average(cfg, ensemble, model=model)
     ns, ws = ensemble.weights()
     write_csv(
         out / "scan.csv",
@@ -233,11 +231,11 @@ def _run_scan_n(rc, out: Path, workers: int) -> None:
     )
 
 
-def _run_lindblad_scan(rc, out: Path, workers: int) -> None:
+def _run_lindblad_scan(rc, out: Path) -> None:
     cfg, _, _ = protocol_config(rc)
     v = rc.values
     grid = TWO_PI * np.linspace(v["gamma_min_mhz"], v["gamma_max_mhz"], v["n_points"])
-    scan = scan_decoherence(cfg, v["channel"], grid, n_workers=workers)
+    scan = scan_decoherence(cfg, v["channel"], grid)
     write_csv(
         out / "scan.csv",
         ["gamma_mhz", "success", "infidelity"],
@@ -258,10 +256,8 @@ def _run_lindblad_scan(rc, out: Path, workers: int) -> None:
     )
 
 
-def _run_ion_mc(rc, out: Path, seed: int | None) -> None:
+def _run_ion_mc(rc, out: Path) -> None:
     cfg = ion_config(rc)
-    if seed is not None:
-        cfg = replace(cfg, rng_seed=seed)
     result = simulate_escape(cfg)
     thresholds = np.geomspace(1e-4, 10.0, 26)
     write_csv(
@@ -290,10 +286,7 @@ def _run_ion_mc(rc, out: Path, seed: int | None) -> None:
     )
 
 
-def _run_jc_demo(rc, out: Path, workers: int) -> None:
-    from .basis import EnsembleSpec
-    from .hamiltonians import LaserParams
-
+def _run_jc_demo(rc, out: Path) -> None:
     v = rc.values
     spec = EnsembleSpec(v["n_atoms"])
     params = LaserParams(
@@ -318,18 +311,15 @@ def _run_jc_demo(rc, out: Path, workers: int) -> None:
     )
 
 
-def _worker_count(flag: str | None) -> int:
-    """Pool size from --workers, else SUPERATOM_WORKERS, else 1; must be >= 1."""
-    source, raw = "--workers", flag
-    if raw is None:
-        source, raw = "SUPERATOM_WORKERS", os.environ.get("SUPERATOM_WORKERS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"{source} must be an integer >= 1, got {raw!r}")
-    return n
+_RUNNERS = {
+    "rabi": _run_rabi,
+    "scan-dc": _run_scan_dc,
+    "scan-oc": _run_scan_oc,
+    "scan-n": _run_scan_n,
+    "lindblad-scan": _run_lindblad_scan,
+    "ion-mc": _run_ion_mc,
+    "jc-demo": _run_jc_demo,
+}
 
 
 def main(argv=None) -> int:
@@ -340,32 +330,19 @@ def main(argv=None) -> int:
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--workers")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--workers", help="accepted only as 1, for compatibility")
     args = parser.parse_args(argv)
 
     try:
-        workers = _worker_count(args.workers)
+        if args.workers not in (None, "1"):
+            raise ConfigError(f"--workers must be 1, got {args.workers!r}")
         try:
             text = args.config.read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         rc = parse_config(text, args.experiment)
         args.out.mkdir(parents=True, exist_ok=True)
-        if args.experiment == "rabi":
-            _run_rabi(rc, args.out, workers)
-        elif args.experiment == "scan-dc":
-            _run_scan_dc(rc, args.out, workers)
-        elif args.experiment == "scan-oc":
-            _run_scan_oc(rc, args.out, workers)
-        elif args.experiment == "scan-n":
-            _run_scan_n(rc, args.out, workers)
-        elif args.experiment == "lindblad-scan":
-            _run_lindblad_scan(rc, args.out, workers)
-        elif args.experiment == "ion-mc":
-            _run_ion_mc(rc, args.out, args.seed)
-        else:
-            _run_jc_demo(rc, args.out, workers)
+        _RUNNERS[args.experiment](rc, args.out)
     except (ConfigError, BasisError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,6 @@ success probability (total Rydberg population) and false-herald fraction
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from math import inf, lgamma, log, nan, pi, sqrt
 
@@ -268,29 +267,18 @@ def run_protocol(
 # parameter scans
 
 
-def _run_point(args):
-    cfg, model, n_times = args
-    return run_protocol(cfg, model, n_times)
-
-
-def _map_runs(cfgs, model, n_times, n_workers=1):
-    """Run independent protocol points, optionally on a process pool.
-
-    Results come back in grid order regardless of worker count.
-    """
-    jobs = [(c, model, n_times) for c in cfgs]
-    if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(_run_point, jobs))
-    return [_run_point(j) for j in jobs]
-
-
 @dataclass
 class ScanRow:
     x: float
     success: float
     infidelity: float | None
     extra: dict = field(default_factory=dict)
+
+
+def _scan_row(x, cfg, model: str, n_times: int, **extra) -> ScanRow:
+    """Run one scan point and keep its herald numbers."""
+    res = run_protocol(cfg, model, n_times)
+    return ScanRow(float(x), res.success_probability, res.infidelity, extra)
 
 
 @dataclass
@@ -320,9 +308,7 @@ def _parabolic_refine(xs, ys, k):
     return xv, a * xv**2 + b * xv + c
 
 
-def scan_delta_c(
-    cfg: ProtocolConfig, ratios, model: str = "dicke", n_workers: int = 1
-) -> ScanResult:
+def scan_delta_c(cfg: ProtocolConfig, ratios, model: str = "dicke") -> ScanResult:
     """Sweep delta_c/omega_c at fixed effective Rabi target.
 
     For each point omega_p is re-solved so the second-order effective Rabi
@@ -340,11 +326,7 @@ def scan_delta_c(
         )
         for r in ratios
     ]
-    rows = [
-        ScanRow(x=float(r), success=res.success_probability,
-                infidelity=res.infidelity)
-        for r, res in zip(ratios, _map_runs(pts, model, SCAN_N_TIMES, n_workers))
-    ]
+    rows = [_scan_row(r, c, model, SCAN_N_TIMES) for r, c in zip(ratios, pts)]
     xs = [row.x for row in rows]
     ys = [row.infidelity for row in rows]
     defined = [i for i, y in enumerate(ys) if y is not None]
@@ -398,8 +380,7 @@ class PoissonAverageResult:
 
 
 def poisson_average(
-    cfg: ProtocolConfig, ensemble: PoissonEnsemble, model: str = "dicke",
-    n_workers: int = 1,
+    cfg: ProtocolConfig, ensemble: PoissonEnsemble, model: str = "dicke"
 ) -> PoissonAverageResult:
     """Average over atom number with laser parameters fixed at N = mean.
 
@@ -426,11 +407,7 @@ def poisson_average(
             replace(ref, spec=EnsembleSpec(int(n)), omega_eff=nan, delta_eff=nan)
             for n in ns
         ]
-    per_n = [
-        ScanRow(x=float(n), success=res.success_probability,
-                infidelity=res.infidelity)
-        for n, res in zip(ns, _map_runs(pts, model, 3, n_workers))
-    ]
+    per_n = [_scan_row(n, c, model, 3) for n, c in zip(ns, pts)]
     if all(r.infidelity is None for r in per_n):
         raise NumericalFailure(
             f"infidelity undefined at every atom number N = {ns[0]}..{ns[-1]}"
@@ -446,7 +423,7 @@ def poisson_average(
 
 
 def scan_omega_c(
-    cfg: ProtocolConfig, omega_c_grid, model: str = "dicke", n_workers: int = 1
+    cfg: ProtocolConfig, omega_c_grid, model: str = "dicke"
 ) -> ScanResult:
     """Sweep omega_c at fixed effective Rabi target; includes the 10*w_eff/w_c bound."""
     if cfg.effective_rabi_target is None:
@@ -461,13 +438,9 @@ def scan_omega_c(
         for wc in omega_c_grid
     ]
     rows = [
-        ScanRow(
-            x=float(wc),
-            success=res.success_probability,
-            infidelity=res.infidelity,
-            extra={"bound": 10.0 * cfg.effective_rabi_target / wc},
-        )
-        for wc, res in zip(omega_c_grid, _map_runs(pts, model, SCAN_N_TIMES, n_workers))
+        _scan_row(wc, c, model, SCAN_N_TIMES,
+                  bound=10.0 * cfg.effective_rabi_target / wc)
+        for wc, c in zip(omega_c_grid, pts)
     ]
     return ScanResult("omega_c", rows)
 
@@ -497,9 +470,7 @@ def _integrated_level_population(cfg: ProtocolConfig, which: str) -> float:
     return float(np.trapezoid(pops @ weight, times))
 
 
-def scan_decoherence(
-    cfg: ProtocolConfig, which: str, grid, n_workers: int = 1
-) -> DecoherenceScanResult:
+def scan_decoherence(cfg: ProtocolConfig, which: str, grid) -> DecoherenceScanResult:
     """Lindblad infidelity vs one decoherence rate (others zero).
 
     Besides the raw slope against the rate, the slope against the
@@ -511,11 +482,7 @@ def scan_decoherence(
     pts = [
         replace(cfg, rates=DecoherenceRates(**{which: float(g)})) for g in grid
     ]
-    rows = [
-        ScanRow(x=float(g), success=res.success_probability,
-                infidelity=res.infidelity)
-        for g, res in zip(grid, _map_runs(pts, "lindblad", 3, n_workers))
-    ]
+    rows = [_scan_row(g, c, "lindblad", 3) for g, c in zip(grid, pts)]
     for r in rows:
         if r.infidelity is None:
             raise NumericalFailure(

@@ -218,15 +218,24 @@ class TestMainEntry:
         summary = json.loads((out / "summary.json").read_text())
         assert "minimum" in summary["results"]
 
-    def test_ion_mc_with_seed_flag(self, tmp_path):
-        text = "n_trajectories = 4\nn_atoms = 10\n"
-        code, out = run_cli(tmp_path, "ion-mc", text, extra=["--seed", "7"])
+    def test_ion_mc_with_seed_key(self, tmp_path):
+        text = "n_trajectories = 4\nn_atoms = 10\nseed = 7\n"
+        code, out = run_cli(tmp_path, "ion-mc", text)
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["resolved"]["rng_seed"] == 7
         assert summary["results"]["escape_time_ns"] == pytest.approx(25.4, rel=0.3)
         curve = (out / "scan.csv").read_text().splitlines()
         assert curve[0] == "phase_threshold_rad,fraction_significant"
+
+    def test_seed_flag_refused(self, tmp_path, capsys):
+        """The seed is set only by the config's seed key, which is checked."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "ion-mc", "n_trajectories = 2\nn_atoms = 3\n",
+                    extra=["--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "out-ion-mc").exists()
 
     @pytest.mark.parametrize("field", ["5e-324", "1e-310"])
     def test_ion_mc_subnormal_ramp_field(self, tmp_path, field):
@@ -316,37 +325,17 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert err == ["numerical failure: Hamiltonian is not Hermitian"]
 
-    @pytest.fixture
-    def no_pool(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr("superatom.protocol.ProcessPoolExecutor", refuse)
-
-    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
-    def test_bad_workers_flag_exit_code(self, tmp_path, capsys, no_pool, workers):
+    @pytest.mark.parametrize("workers", ["0", "-2", "two", "2"])
+    def test_bad_workers_flag_exit_code(self, tmp_path, capsys, workers):
+        """--workers survives only as 1, for compatibility; scans run in
+        the calling process."""
         code, out = run_cli(
             tmp_path, "scan-dc", SCAN_DC_CFG, extra=["--workers", workers]
         )
         assert code == 2
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"configuration error: --workers must be an integer >= 1, "
-                       f"got '{workers}'"]
+        assert err == [f"configuration error: --workers must be 1, got '{workers}'"]
         assert not out.exists()
-
-    def test_bad_workers_env_exit_code(self, tmp_path, capsys, monkeypatch, no_pool):
-        monkeypatch.setenv("SUPERATOM_WORKERS", "abc")
-        code, out = run_cli(tmp_path, "scan-dc", SCAN_DC_CFG)
-        assert code == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "SUPERATOM_WORKERS" in err[0]
-        assert not out.exists()
-
-    def test_workers_flag_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SUPERATOM_WORKERS", "abc")
-        code, _ = run_cli(tmp_path, "ion-mc", "n_trajectories = 2\nn_atoms = 3\n",
-                          extra=["--workers", "1"])
-        assert code == 0
 
     @pytest.mark.parametrize(
         "experiment,text,message",
@@ -626,13 +615,15 @@ import json, sys
 from superatom.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "scipy": sorted(
-    m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+    m for m in sys.modules if m.partition(".")[0] == "scipy"), "processes": sorted(
+    m for m in sys.modules
+    if m.partition(".")[0] in ("concurrent", "multiprocessing"))}))
 """
 
 
 class TestImports:
     """superatom-sim starts on numpy alone; scipy loads only for the master
-    equation."""
+    equation, and no experiment loads a process pool."""
 
     @staticmethod
     def fresh_run(tmp_path, runs) -> dict:
@@ -650,7 +641,8 @@ class TestImports:
         return json.loads(run.stdout.splitlines()[-1])
 
     def test_cli_import_loads_no_scipy(self, tmp_path):
-        assert self.fresh_run(tmp_path, []) == {"codes": [], "scipy": []}
+        assert self.fresh_run(tmp_path, []) == {
+            "codes": [], "scipy": [], "processes": []}
 
     def test_pure_state_runs_load_no_scipy(self, tmp_path):
         runs = [
@@ -663,7 +655,8 @@ class TestImports:
              "probe_pulse_time_us = 0.2\ntotal_time_us = 1\nn_times = 11\n"),
             ("ion-mc", "n_trajectories = 2\nn_atoms = 3\n"),
         ]
-        assert self.fresh_run(tmp_path, runs) == {"codes": [0] * 6, "scipy": []}
+        assert self.fresh_run(tmp_path, runs) == {
+            "codes": [0] * 6, "scipy": [], "processes": []}
 
     def test_master_equation_run_loads_scipy_integrate(self, tmp_path):
         text = (RABI_CFG.replace("n_atoms = 4", "n_atoms = 2")
