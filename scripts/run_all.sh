@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# Run every example experiment into results/<name>/.
+# Run every example experiment into results/<name>/, with the package from
+# this checkout's src/ (installed or not).
 # Usage: scripts/run_all.sh [results_dir]
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 out="${1:-$root/results}"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
 
 run() { # experiment config-name
     echo "== $1 ($2) =="
-    superatom-sim "$1" --config "$root/configs/$2.cfg" --out "$out/$2"
+    python3 -m superatom.cli "$1" --config "$root/configs/$2.cfg" --out "$out/$2"
 }
 
 run rabi rabi_n4

@@ -2,20 +2,24 @@
 
 Usage: superatom-sim <experiment> --config FILE --out DIR
 
-Every experiment runs in the calling process.  --workers is accepted only
-as 1, for compatibility with older command lines.
+Every experiment runs in the calling process and returns its table and
+summary; only then is DIR created and both files written, so a run that
+exits non-zero writes nothing.  --workers is accepted only as 1, for
+compatibility with older command lines.
 
 Exit codes: 0 success, 2 configuration error (refused while parsing, or a
 BasisError refusal such as a probe too weak for a finite pi-pulse),
-3 capacity exceeded, 4 numerical failure.  Outputs are deterministic for
-identical inputs apart from the timestamp field in summary.json.
+3 capacity exceeded (a documented limit, or an array that cannot be
+allocated), 4 numerical failure.  Every CSV cell is written with 12
+significant digits, and an undefined one (None or NaN) is left empty.
+Outputs are deterministic for identical inputs apart from the timestamp
+field in summary.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,7 +35,6 @@ from .ion_escape import simulate_escape
 from .protocol import (
     PoissonEnsemble,
     collapse_revival_demo,
-    herald_infidelity,
     poisson_average,
     resolve_protocol,
     run_protocol,
@@ -40,21 +43,7 @@ from .protocol import (
     scan_omega_c,
 )
 
-TRAJECTORY_COLUMNS = ("p_G", "p_E", "p_R", "p_E2", "p_ER", "p_ryd")
-
-
-def _fmt(x) -> str:
-    """Serialize one value with 12 significant digits."""
-    if x is None:
-        return ""
-    if isinstance(x, (bool, int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    x = float(x)
-    if not math.isfinite(x):
-        return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
-    return f"{x:.12g}"
+TRAJECTORY_COLUMNS = ("p_G", "p_E", "p_R", "p_E2", "p_ER", "p_ryd", "infidelity")
 
 
 def _round12(obj):
@@ -74,27 +63,22 @@ def _round12(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], table) -> None:
+    """The header line, then each row with every cell as %.12g; an undefined
+    cell (None or NaN) is written empty."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.12g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines((row % tuple(r)).replace("nan", "") for r in table.tolist())
 
 
-def write_trajectory(path: Path, traj: Trajectory) -> None:
-    """trajectory.csv with the fixed column order; absent observables skipped."""
+def _trajectory_table(traj: Trajectory):
+    """trajectory.csv's header and columns; absent observables skipped."""
     cols = [c for c in TRAJECTORY_COLUMNS if c in traj.populations]
-    has_infid = "p_ryd" in traj.populations and "p_ER" in traj.populations
-    header = ["time_us"] + cols + (["infidelity"] if has_infid else [])
-    rows = []
-    for k, t in enumerate(traj.times):
-        row = [t] + [traj.populations[c][k] for c in cols]
-        if has_infid:
-            row.append(herald_infidelity(
-                traj.populations["p_ryd"][k], traj.populations["p_ER"][k]
-            ))
-        rows.append(row)
-    write_csv(path, header, rows)
+    return ["time_us", *cols], np.column_stack(
+        [traj.times, *(traj.populations[c] for c in cols)]
+    )
 
 
 def write_summary(path: Path, rc, resolved: dict, results: dict) -> None:
@@ -133,13 +117,12 @@ def _resolved_dict(res) -> dict:
     }
 
 
-def _run_rabi(rc, out: Path) -> None:
+def _run_rabi(rc):
     cfg, model, n_times = protocol_config(rc)
     result = run_protocol(cfg, model=model, n_times=n_times)
-    write_trajectory(out / "trajectory.csv", result.trajectory)
-    write_summary(
-        out / "summary.json",
-        rc,
+    return (
+        "trajectory.csv",
+        *_trajectory_table(result.trajectory),
         {**_resolved_dict(result.resolved), "model": model},
         {
             "success_probability": result.success_probability,
@@ -148,25 +131,21 @@ def _run_rabi(rc, out: Path) -> None:
     )
 
 
-def _run_scan_dc(rc, out: Path) -> None:
+def _run_scan_dc(rc):
     cfg, model, _ = protocol_config(rc)
     v = rc.values
     ratios = np.linspace(v["ratio_min"], v["ratio_max"], v["n_points"])
     scan = scan_delta_c(cfg, ratios, model=model)
-    write_csv(
-        out / "scan.csv",
+    return (
+        "scan.csv",
         ["delta_c_over_omega_c", "success", "infidelity"],
         [(r.x, r.success, r.infidelity) for r in scan.rows],
-    )
-    write_summary(
-        out / "summary.json",
-        rc,
         {**_resolved_dict(resolve_protocol(cfg)), "model": model},
         {"minimum": scan.minimum},
     )
 
 
-def _run_scan_oc(rc, out: Path) -> None:
+def _run_scan_oc(rc):
     cfg, model, _ = protocol_config(rc)
     v = rc.values
     grid = TWO_PI * np.geomspace(
@@ -175,22 +154,18 @@ def _run_scan_oc(rc, out: Path) -> None:
     scan = scan_omega_c(cfg, grid, model=model)
     for r in scan.rows:
         if r.infidelity is None or r.infidelity <= 0:
-            value = "undefined" if r.infidelity is None else _fmt(r.infidelity)
+            value = "undefined" if r.infidelity is None else f"{r.infidelity:.12g}"
             raise NumericalFailure(
-                f"infidelity {value} at omega_c = {_fmt(r.x / TWO_PI)} MHz; "
+                f"infidelity {value} at omega_c = {r.x / TWO_PI:.12g} MHz; "
                 "the log-log fit needs a positive infidelity at every point"
             )
-    write_csv(
-        out / "scan.csv",
-        ["omega_c_mhz", "success", "infidelity", "bound"],
-        [(r.x / TWO_PI, r.success, r.infidelity, r.extra["bound"]) for r in scan.rows],
-    )
     xs = np.log([r.x for r in scan.rows])
     ys = np.log([r.infidelity for r in scan.rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
-    write_summary(
-        out / "summary.json",
-        rc,
+    return (
+        "scan.csv",
+        ["omega_c_mhz", "success", "infidelity", "bound"],
+        [(r.x / TWO_PI, r.success, r.infidelity, r.extra["bound"]) for r in scan.rows],
         {**_resolved_dict(resolve_protocol(cfg)), "model": model},
         {
             "log_log_slope": slope,
@@ -201,25 +176,18 @@ def _run_scan_oc(rc, out: Path) -> None:
     )
 
 
-def _run_scan_n(rc, out: Path) -> None:
+def _run_scan_n(rc):
     cfg, model, _ = protocol_config(rc)
     v = rc.values
     ensemble = PoissonEnsemble.from_mean(
         v["poisson_mean"], half_width_sigmas=v["half_width_sigmas"]
     )
     avg = poisson_average(cfg, ensemble, model=model)
-    ns, ws = ensemble.weights()
-    write_csv(
-        out / "scan.csv",
+    _, ws = ensemble.weights()
+    return (
+        "scan.csv",
         ["n_atoms", "weight", "success", "infidelity"],
-        [
-            (int(r.x), w, r.success, r.infidelity)
-            for r, w in zip(avg.per_n, ws)
-        ],
-    )
-    write_summary(
-        out / "summary.json",
-        rc,
+        [(r.x, w, r.success, r.infidelity) for r, w in zip(avg.per_n, ws)],
         {**_resolved_dict(resolve_protocol(cfg)), "model": model},
         {
             "mean_success": avg.mean_success,
@@ -231,19 +199,15 @@ def _run_scan_n(rc, out: Path) -> None:
     )
 
 
-def _run_lindblad_scan(rc, out: Path) -> None:
+def _run_lindblad_scan(rc):
     cfg, _, _ = protocol_config(rc)
     v = rc.values
     grid = TWO_PI * np.linspace(v["gamma_min_mhz"], v["gamma_max_mhz"], v["n_points"])
     scan = scan_decoherence(cfg, v["channel"], grid)
-    write_csv(
-        out / "scan.csv",
+    return (
+        "scan.csv",
         ["gamma_mhz", "success", "infidelity"],
         [(r.x / TWO_PI, r.success, r.infidelity) for r in scan.rows],
-    )
-    write_summary(
-        out / "summary.json",
-        rc,
         {**_resolved_dict(resolve_protocol(cfg)), "channel": v["channel"]},
         {
             # slope converted to infidelity per MHz of Gamma/2pi
@@ -256,18 +220,14 @@ def _run_lindblad_scan(rc, out: Path) -> None:
     )
 
 
-def _run_ion_mc(rc, out: Path) -> None:
+def _run_ion_mc(rc):
     cfg = ion_config(rc)
     result = simulate_escape(cfg)
     thresholds = np.geomspace(1e-4, 10.0, 26)
-    write_csv(
-        out / "scan.csv",
+    return (
+        "scan.csv",
         ["phase_threshold_rad", "fraction_significant"],
-        list(zip(thresholds, result.threshold_curve(thresholds))),
-    )
-    write_summary(
-        out / "summary.json",
-        rc,
+        np.column_stack([thresholds, result.threshold_curve(thresholds)]),
         {
             "rng_seed": cfg.rng_seed,
             "n_trajectories": cfg.n_trajectories,
@@ -286,7 +246,7 @@ def _run_ion_mc(rc, out: Path) -> None:
     )
 
 
-def _run_jc_demo(rc, out: Path) -> None:
+def _run_jc_demo(rc):
     v = rc.values
     spec = EnsembleSpec(v["n_atoms"])
     params = LaserParams(
@@ -297,10 +257,9 @@ def _run_jc_demo(rc, out: Path) -> None:
     )
     times = np.linspace(0.0, v["total_time_us"], v["n_times"])[1:]
     traj = collapse_revival_demo(spec, params, v["probe_pulse_time_us"], times)
-    write_trajectory(out / "trajectory.csv", traj)
-    write_summary(
-        out / "summary.json",
-        rc,
+    return (
+        "trajectory.csv",
+        *_trajectory_table(traj),
         {
             "n_atoms": v["n_atoms"],
             "omega_p_mhz": v["omega_p_mhz"],
@@ -311,6 +270,8 @@ def _run_jc_demo(rc, out: Path) -> None:
     )
 
 
+# Each runner returns (CSV name, header, table, resolved dict, results dict)
+# and writes nothing; main writes both files once the run has succeeded.
 _RUNNERS = {
     "rabi": _run_rabi,
     "scan-dc": _run_scan_dc,
@@ -341,12 +302,14 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         rc = parse_config(text, args.experiment)
+        name, header, table, resolved, results = _RUNNERS[args.experiment](rc)
         args.out.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[args.experiment](rc, args.out)
+        write_csv(args.out / name, header, table)
+        write_summary(args.out / "summary.json", rc, resolved, results)
     except (ConfigError, BasisError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
     except NumericalFailure as exc:

@@ -21,7 +21,7 @@ from .basis import (
 )
 from .dynamics import DecoherenceRates, check_lindblad_work, lindblad_operators
 from .hamiltonians import TWO_PI, LaserParams, build_product_hamiltonian
-from .ion_escape import ION_MAX_STEPS, IonEscapeConfig
+from .ion_escape import ION_MAX_STEPS, MAX_TIME_STEP_NS, IonEscapeConfig
 from .protocol import (
     AUTO_DELTA_P,
     MODELS,
@@ -206,7 +206,8 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
             "n_trajectories": Key(_int(1), default=100),
             "seed": Key(_int(0), default=0),
             "ion_start": Key(_choice("uniform", "center"), default="uniform"),
-            "time_step_ns": Key(_float(0, 0.1, lo_open=True), default=0.1),
+            "time_step_ns": Key(_float(0, MAX_TIME_STEP_NS, lo_open=True),
+                                default=MAX_TIME_STEP_NS),
             "max_time_ns": Key(_float(0, lo_open=True)),
         },
         [],

@@ -37,6 +37,8 @@ NO_ESCAPE = float("inf")
 # escapes takes about 44 s and 11 min; the default horizon is 3e4 steps.
 ION_MAX_STEPS = 10**6
 
+MAX_TIME_STEP_NS = 0.1  # largest velocity-Verlet step
+
 
 @dataclass(frozen=True)
 class IonEscapeConfig:
@@ -54,7 +56,7 @@ class IonEscapeConfig:
     n_trajectories: int = 100
     rng_seed: int = 0
     ion_start: str = "uniform"  # "uniform" in the cloud or "center"
-    time_step: float = 0.1  # ns, velocity-Verlet step
+    time_step: float = MAX_TIME_STEP_NS  # ns, velocity-Verlet step
     max_time: float | None = None  # ns horizon; default 10x ramp_time
 
     def __post_init__(self):
@@ -75,8 +77,8 @@ class IonEscapeConfig:
             raise ValueError("differential_polarizability must be >= 0")
         if self.ion_start not in ("uniform", "center"):
             raise ValueError("ion_start must be 'uniform' or 'center'")
-        if self.time_step > 0.1 + 1e-12:
-            raise ValueError("time_step must be <= 0.1 ns")
+        if self.time_step > MAX_TIME_STEP_NS:
+            raise ValueError(f"time_step must be <= {MAX_TIME_STEP_NS} ns")
 
     @property
     def horizon(self) -> float:

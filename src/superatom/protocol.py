@@ -9,7 +9,7 @@ success probability (total Rydberg population) and false-herald fraction
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import inf, lgamma, log, nan, pi, sqrt
+from math import inf, isnan, lgamma, log, nan, pi, sqrt
 
 import numpy as np
 
@@ -138,27 +138,31 @@ def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
 AUTO_DELTA_P = float("nan")
 
 
-def herald_infidelity(p_ryd, p_er):
+def herald_infidelity(p_ryd: np.ndarray, p_er: np.ndarray) -> np.ndarray:
     """False-herald fraction: the share of the Rydberg population outside
-    |ER>; None (undefined) when p_ryd <= NO_HERALD_EPS."""
-    return None if p_ryd <= NO_HERALD_EPS else (p_ryd - p_er) / p_ryd
+    |ER>, elementwise; NaN (undefined) where p_ryd <= NO_HERALD_EPS."""
+    return np.divide(p_ryd - p_er, p_ryd, out=np.full(p_ryd.shape, nan),
+                     where=p_ryd > NO_HERALD_EPS)
 
 
 def _herald_trajectory(times, spec, pops, p_ryd, p_2plus) -> Trajectory:
     """The readout every model shares, from Dicke populations (T, 2N+1), the
-    total Rydberg population (T,) and the |2+> population (T,)."""
+    total Rydberg population (T,) and the |2+> population (T,), with the
+    false-herald fraction of every time as the column "infidelity"."""
 
     def pop(j, s):
         return pops[:, dicke_position(spec, DickeIndex(j, s))]
 
+    p_er = pop(1, 1)
     return Trajectory(times=times, populations={
         "p_G": pops[:, 0],
         "p_E": pop(1, 0),
         "p_R": pop(0, 1),
         "p_E2": pop(2, 0),
-        "p_ER": pop(1, 1),
+        "p_ER": p_er,
         "p_ryd": p_ryd,
         "p_2plus": p_2plus,
+        "infidelity": herald_infidelity(p_ryd, p_er),
     })
 
 
@@ -254,10 +258,10 @@ def run_protocol(
             amps = amps @ columns
         traj = _pure_readout(times, spec, amps, two_plus)
 
-    p_ryd, p_er = (float(traj.populations[k][-1]) for k in ("p_ryd", "p_ER"))
+    p_ryd, infid = (float(traj.populations[k][-1]) for k in ("p_ryd", "infidelity"))
     return ProtocolResult(
         success_probability=p_ryd,
-        infidelity=herald_infidelity(p_ryd, p_er),
+        infidelity=None if isnan(infid) else infid,
         trajectory=traj,
         resolved=res,
     )

@@ -2,7 +2,7 @@
 uses, kept as test oracles."""
 
 from itertools import product as iterproduct
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -148,3 +148,21 @@ def jump_operators(rates, spec):
             v = S[:, col]
             ops.append((rates.gamma_coll, np.outer(v, v)))
     return ops
+
+
+def _csv_cell(x) -> str:
+    """One CSV cell: an undefined value (None or NaN) empty, an integer in
+    full, any other number with 12 significant digits."""
+    if x is None:
+        return ""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    x = float(x)
+    if not isfinite(x):
+        return "inf" if x > 0 else ("-inf" if x < 0 else "")
+    return f"{x:.12g}"
+
+
+def csv_line(row) -> str:
+    """One CSV row formatted cell by cell, the CLI's former writer."""
+    return ",".join(_csv_cell(v) for v in row) + "\n"

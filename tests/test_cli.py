@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superatom
+from oracles import csv_line
 from superatom.basis import N_MAX_DICKE
-from superatom.cli import _fmt, _round12, main
+from superatom.cli import _round12, main, write_csv
 from superatom.config import (
     EXPERIMENTS,
     ConfigError,
@@ -25,7 +26,7 @@ from superatom.config import (
     protocol_config,
 )
 from superatom.hamiltonians import TWO_PI
-from superatom.protocol import MODELS, PoissonEnsemble
+from superatom.protocol import MODELS, NO_HERALD_EPS, PoissonEnsemble, run_protocol
 
 RABI_CFG = """\
 # minimal four-atom run
@@ -150,21 +151,63 @@ class TestConfigBuilders:
         assert model == "lindblad"
 
 
-class TestFormatting:
-    def test_twelve_significant_digits(self):
-        assert _fmt(np.pi) == "3.14159265359"
-        assert _fmt(1.0) == "1"
-        assert _fmt(None) == ""
-        assert _fmt(3) == "3"
-        assert len(_fmt(2.0 / 3.0).replace("0.", "")) == 12
-
-
 def run_cli(tmp_path, experiment, text, extra=()):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / f"out-{experiment}"
     code = main([experiment, "--config", str(cfg), "--out", str(out), *extra])
     return code, out
+
+
+class TestFormatting:
+    """write_csv formats whole rows at once; the oracle csv_line formats
+    cell by cell, as the CLI once did."""
+
+    @staticmethod
+    def written(tmp_path, header, table) -> str:
+        path = tmp_path / "table.csv"
+        write_csv(path, header, table)
+        return path.read_text()
+
+    def test_twelve_significant_digits(self, tmp_path):
+        text = self.written(tmp_path, ["a", "b", "c", "d", "e"],
+                            [(np.pi, 1.0, None, 3, 2.0 / 3.0)])
+        header, row = text.splitlines()
+        assert header == "a,b,c,d,e"
+        assert row.split(",")[:4] == ["3.14159265359", "1", "", "3"]
+        assert len(row.split(",")[4].replace("0.", "")) == 12
+
+    def test_matches_cell_by_cell_reference(self, tmp_path):
+        header = ["n", "x", "y", "z"]
+        table = [
+            (3, np.pi, None, 2.0 / 3.0),
+            (2000, -0.0, float("nan"), 5e-324),
+            (0, 1e300, -1e300, np.inf),
+            (-7, -np.inf, 1.0, NO_HERALD_EPS),
+            (999999999999, None, None, None),
+        ]
+        want = "n,x,y,z\n" + "".join(csv_line(row) for row in table)
+        assert self.written(tmp_path, header, table) == want
+
+    def test_trajectory_with_undefined_first_rows(self, tmp_path):
+        """A probe so weak that p_ryd <= NO_HERALD_EPS over the first rows:
+        their infidelity cells are empty, as the per-row herald formula and
+        the cell-by-cell writer gave them."""
+        text = RABI_CFG + "pulse_time_us = 4e-4\nn_times = 11\n"
+        code, out = run_cli(tmp_path, "rabi", text)
+        assert code == 0
+        cfg, model, n_times = protocol_config(parse_config(text, "rabi"))
+        traj = run_protocol(cfg, model, n_times).trajectory
+        cols = ("p_G", "p_E", "p_R", "p_E2", "p_ER", "p_ryd")
+        rows = []
+        for k, t in enumerate(traj.times.tolist()):
+            p_ryd, p_er = traj.populations["p_ryd"][k], traj.populations["p_ER"][k]
+            infid = None if p_ryd <= NO_HERALD_EPS else (p_ryd - p_er) / p_ryd
+            rows.append([t, *(traj.populations[c][k] for c in cols), infid])
+        assert rows[0][-1] is None and rows[-1][-1] is not None
+        want = ("time_us," + ",".join(cols) + ",infidelity\n"
+                + "".join(csv_line(row) for row in rows))
+        assert (out / "trajectory.csv").read_text() == want
 
 
 class TestMainEntry:
@@ -269,9 +312,10 @@ class TestMainEntry:
         text = RABI_CFG.replace("n_atoms = 4", "n_atoms = 5")
         text += "gamma_e_mhz = 0.001\n"
         start = time.perf_counter()
-        code, _ = run_cli(tmp_path, "rabi", text)
+        code, out = run_cli(tmp_path, "rabi", text)
         assert code == 3
         assert time.perf_counter() - start < 10.0  # refused before integrating
+        assert not out.exists()
 
     def test_scan_dc_all_points_undefined_exit_code(self, tmp_path):
         text = (
@@ -279,16 +323,18 @@ class TestMainEntry:
             "ratio_min = -1.0\nratio_max = -0.4\nn_points = 4\n"
             "pulse_time_us = 1e-9\n"
         )
-        code, _ = run_cli(tmp_path, "scan-dc", text)
+        code, out = run_cli(tmp_path, "scan-dc", text)
         assert code == 4
+        assert not out.exists()
 
     def test_underflowing_probe_exit_code(self, tmp_path, capsys):
         """omega_p^2 underflows to 0, so there is no pi-pulse time."""
         text = RABI_CFG.replace("omega_p_mhz = 0.7", "omega_p_mhz = 1e-200")
-        code, _ = run_cli(tmp_path, "rabi", text)
+        code, out = run_cli(tmp_path, "rabi", text)
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "effective coupling" in err[0]
+        assert not out.exists()
 
     def test_eigensolver_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         """The propagator's eigh fails; the reduction's batched 2x2 eigh
@@ -301,10 +347,26 @@ class TestMainEntry:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr("superatom.dynamics.np.linalg.eigh", fail)
-        code, _ = run_cli(tmp_path, "rabi", RABI_CFG + "model = dicke\n")
+        code, out = run_cli(tmp_path, "rabi", RABI_CFG + "model = dicke\n")
         assert code == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "did not converge" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment,text", [
+        ("rabi", RABI_CFG + f"n_times = {10**15}\n"),
+        ("scan-dc", SCAN_DC_CFG.replace("n_points = 4", f"n_points = {10**15}")),
+        ("ion-mc", f"n_trajectories = {10**15}\n"),
+    ], ids=["rabi-n-times", "scan-dc-n-points", "ion-mc-n-trajectories"])
+    def test_unallocatable_count_exit_code(self, tmp_path, capsys, experiment,
+                                           text):
+        """A count whose first array needs more than the 128 TiB user address
+        space cannot be mapped at all: a capacity error, with no output."""
+        code, out = run_cli(tmp_path, experiment, text)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("capacity error: ")
+        assert not out.exists()
 
     def test_non_hermitian_hamiltonian_exit_code(self, tmp_path, capsys,
                                                  monkeypatch):

@@ -9,12 +9,14 @@ from scipy.linalg import expm
 import superatom.dynamics
 from oracles import ProductBasis, jump_operators, whole_chain_states
 from superatom.basis import (
+    LEVEL_R,
     BasisError,
     CapacityError,
     DickeIndex,
     EnsembleSpec,
     dicke_labels,
     dicke_position,
+    product_basis,
     product_dimension,
     symmetrizer,
 )
@@ -43,7 +45,6 @@ from superatom.protocol import (
     _density_readout,
     _pure_readout,
     collapse_revival_demo,
-    herald_infidelity,
     resolve_protocol,
 )
 
@@ -605,27 +606,37 @@ class TestObservables:
 
     @staticmethod
     def _final(traj):
-        pops = {k: float(v[-1]) for k, v in traj.populations.items()}
-        return pops, herald_infidelity(pops["p_ryd"], pops["p_ER"])
+        return {k: float(v[-1]) for k, v in traj.populations.items()}
 
     def test_er_state(self):
         spec = EnsembleSpec(3)
         amps = np.zeros(7, dtype=complex)
         amps[dicke_position(spec, DickeIndex(1, 1))] = 1.0
-        pops, infid = self._final(self._pure(amps, spec))
+        pops = self._final(self._pure(amps, spec))
         assert pops["p_ryd"] == pytest.approx(1.0)
         assert pops["p_ER"] == pytest.approx(1.0)
-        assert infid == 0.0
+        assert pops["infidelity"] == 0.0
 
     def test_ground_state_undefined_fidelity(self):
         spec = EnsembleSpec(3)
         amps = np.zeros(7, dtype=complex)
         amps[0] = 1.0
-        pops, infid = self._final(self._pure(amps, spec))
+        pops = self._final(self._pure(amps, spec))
         assert pops["p_ryd"] == 0.0
-        assert infid is None
-        assert herald_infidelity(NO_HERALD_EPS, 0.0) is None
-        assert herald_infidelity(2 * NO_HERALD_EPS, 0.0) == 1.0
+        assert np.isnan(pops["infidelity"])
+
+    def test_herald_threshold(self):
+        """A Rydberg population of exactly NO_HERALD_EPS heralds nothing
+        (NaN); twice that, all outside |ER>, is a certain false herald."""
+        spec = EnsembleSpec(3)
+        r = np.flatnonzero((product_basis(spec) == LEVEL_R).any(axis=1))[0]
+        rhos = np.zeros((2, product_dimension(3), product_dimension(3)))
+        rhos[:, r, r] = [NO_HERALD_EPS, 2 * NO_HERALD_EPS]
+        traj = _density_readout([1.0, 2.0], spec, rhos, np.zeros(7))
+        assert list(traj.populations["p_ryd"]) == [NO_HERALD_EPS, 2 * NO_HERALD_EPS]
+        assert list(traj.populations["p_ER"]) == [0.0, 0.0]
+        infid = traj.populations["infidelity"]
+        assert np.isnan(infid[0]) and infid[1] == 1.0
 
     def test_two_plus_at_canonical_point(self):
         """|2+> = (|E^2> + sqrt(2)|ER>)/sqrt(3): p_ryd = p_ER = 2/3."""
@@ -633,14 +644,12 @@ class TestObservables:
         amps = np.zeros(7, dtype=complex)
         amps[dicke_position(spec, DickeIndex(2, 0))] = 1 / np.sqrt(3)
         amps[dicke_position(spec, DickeIndex(1, 1))] = np.sqrt(2 / 3)
-        pops, infid = self._final(
-            _pure_readout([1.0], spec, amps[None], amps.real)
-        )
+        pops = self._final(_pure_readout([1.0], spec, amps[None], amps.real))
         assert pops["p_ryd"] == pytest.approx(2 / 3)
         assert pops["p_ER"] == pytest.approx(2 / 3)
         assert pops["p_E2"] == pytest.approx(1 / 3)
         assert pops["p_2plus"] == pytest.approx(1.0)
-        assert infid == pytest.approx(0.0, abs=1e-12)
+        assert pops["infidelity"] == pytest.approx(0.0, abs=1e-12)
 
     def test_dicke_basis_matches_product(self):
         """The full model's frame map (the symmetrizer) takes a symmetric
@@ -672,7 +681,9 @@ class TestObservables:
             assert b.populations[key][0] == pytest.approx(
                 a.populations[key][0], abs=1e-12
             )
-        assert self._final(b)[1] == pytest.approx(self._final(a)[1], abs=1e-12)
+        assert b.populations["infidelity"][0] == pytest.approx(
+            a.populations["infidelity"][0], abs=1e-12
+        )
 
 
 class TestTrajectory:

@@ -232,6 +232,7 @@ class TestValidation:
             {"n_trajectories": 0},
             {"ion_start": "edge"},
             {"time_step": 0.2},
+            {"time_step": 0.1 + 1e-12},
             {"differential_polarizability": -1e-40},
             {"ramp_field_max": -5.0},
         ],
