@@ -118,8 +118,8 @@ def _resolved_dict(res) -> dict:
 
 
 def _run_rabi(rc):
-    cfg, model, n_times = protocol_config(rc)
-    result = run_protocol(cfg, model=model, n_times=n_times)
+    cfg, model = protocol_config(rc)
+    result = run_protocol(cfg, model=model, n_times=rc.values["n_times"])
     return (
         "trajectory.csv",
         *_trajectory_table(result.trajectory),
@@ -132,7 +132,7 @@ def _run_rabi(rc):
 
 
 def _run_scan_dc(rc):
-    cfg, model, _ = protocol_config(rc)
+    cfg, model = protocol_config(rc)
     v = rc.values
     ratios = np.linspace(v["ratio_min"], v["ratio_max"], v["n_points"])
     scan = scan_delta_c(cfg, ratios, model=model)
@@ -146,7 +146,7 @@ def _run_scan_dc(rc):
 
 
 def _run_scan_oc(rc):
-    cfg, model, _ = protocol_config(rc)
+    cfg, model = protocol_config(rc)
     v = rc.values
     grid = TWO_PI * np.geomspace(
         v["omega_c_min_mhz"], v["omega_c_max_mhz"], v["n_points"]
@@ -177,7 +177,7 @@ def _run_scan_oc(rc):
 
 
 def _run_scan_n(rc):
-    cfg, model, _ = protocol_config(rc)
+    cfg, model = protocol_config(rc)
     v = rc.values
     ensemble = PoissonEnsemble.from_mean(
         v["poisson_mean"], half_width_sigmas=v["half_width_sigmas"]
@@ -200,7 +200,7 @@ def _run_scan_n(rc):
 
 
 def _run_lindblad_scan(rc):
-    cfg, _, _ = protocol_config(rc)
+    cfg, _ = protocol_config(rc)
     v = rc.values
     grid = TWO_PI * np.linspace(v["gamma_min_mhz"], v["gamma_max_mhz"], v["n_points"])
     scan = scan_decoherence(cfg, v["channel"], grid)

@@ -2,8 +2,10 @@
 
 User-facing frequencies are nu = Omega/2pi in MHz (decay rates likewise
 Gamma/2pi); times are us, except ion-mc where they are ns.  Internal
-values are angular (rad/us).  Unknown keys are rejected with their line
-number; every derived quantity is resolved before a run starts.
+values are angular (rad/us).  Each experiment's schema holds only the keys
+its run reads; any other key is rejected with its line number.  Values
+that cannot run are refused while parsing, but a scan resolves each point
+(its Omega_p, delta_p and pulse time) only as that point runs.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ MAX_FREQUENCY_MHZ = 1e9  # every *_mhz key: 1 PHz, above optical frequencies
 MAX_FIELD_V_PER_M = 1e12  # above the atomic unit of field, 5.1e11 V/m
 MAX_RAMP_TIME_NS = 1e9  # 1 s
 MAX_SOFTENING_RADIUS_UM = 1e6  # 1 m
+# Nine decades above Sr's 4.1e-39; at 1e300 every spectator phase overflows.
+MAX_POLARIZABILITY_SI = 1e-30  # C m^2 / V
+# A 1 mm cube; at 1e60 (positions near 1e14 m) the ion's step rounds away.
+MAX_TRAP_VOLUME_UM3 = 1e9
 # Positive lower bounds where a smaller value underflows.  lindblad-scan fits
 # a line to its rate grid with np.polyfit, which scales each column by its
 # 2-norm: below a largest rate of about 1e-162 MHz every square underflows,
@@ -102,24 +108,32 @@ def _choice(*opts):
     return conv
 
 
-_PROTOCOL_BASE = {
-    "n_atoms": Key(_int(2), required=True),  # |2+> holds two excitations
-    "delta_p_mhz": Key(_mhz()),  # absent -> resonance + compensation
-    "pulse_time_us": Key(_float(0, lo_open=True)),
-    "n_times": Key(_int(2), default=201),
+_N_ATOMS = Key(_int(2), required=True)  # |2+> holds two excitations
+_OMEGA_C = Key(_mhz(0, lo_open=True), required=True)
+_TARGET = Key(_mhz(0, lo_open=True), required=True)
+_DELTA_P = {"delta_p_mhz": Key(_mhz())}  # absent -> resonance + compensation
+_PULSE = {"pulse_time_us": Key(_float(0, lo_open=True))}  # absent -> pi-pulse
+_RATE_KEYS = ("gamma_e_mhz", "gamma_r_mhz", "gamma_d_mhz", "gamma_coll_mhz")
+# model absent -> protocol_config's default rule
+_DECAY = {
     "model": Key(_choice(*MODELS)),
-    "gamma_e_mhz": Key(_mhz(0), default=0.0),
-    "gamma_r_mhz": Key(_mhz(0), default=0.0),
-    "gamma_d_mhz": Key(_mhz(0), default=0.0),
-    "gamma_coll_mhz": Key(_mhz(0), default=0.0),
+    **{k: Key(_mhz(0), default=0.0) for k in _RATE_KEYS},
 }
+# scan-n's window reaches N of about 17 or more, beyond the master equation
+# (N <= 4) and the product basis (N <= 8)
+SCAN_N_MODELS = ("dicke", "restricted6", "effective2")
 
+# Each schema holds exactly the keys its runner reads.
 # (key_a, key_b, "exactly-one" | "at-most-one") enforced after parsing
 SCHEMAS: dict[str, tuple[dict, list]] = {
     "rabi": (
         {
-            **_PROTOCOL_BASE,
-            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "n_atoms": _N_ATOMS,
+            **_DELTA_P,
+            **_PULSE,
+            "n_times": Key(_int(2), default=201),
+            **_DECAY,
+            "omega_c_mhz": _OMEGA_C,
             "omega_p_mhz": Key(_mhz(0, lo_open=True)),
             "omega_eff_target_mhz": Key(_mhz(0, lo_open=True)),
             "delta_c_mhz": Key(_mhz()),
@@ -132,9 +146,11 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     ),
     "scan-dc": (
         {
-            **_PROTOCOL_BASE,
-            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
-            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "n_atoms": _N_ATOMS,
+            **_PULSE,
+            **_DECAY,
+            "omega_c_mhz": _OMEGA_C,
+            "omega_eff_target_mhz": _TARGET,
             "ratio_min": Key(_float(-3.0, 1.0), default=-3.0),
             "ratio_max": Key(_float(-3.0, 1.0), default=0.5),
             "n_points": Key(_int(2), default=36),
@@ -143,8 +159,10 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     ),
     "scan-oc": (
         {
-            **_PROTOCOL_BASE,
-            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "n_atoms": _N_ATOMS,
+            **_PULSE,
+            **_DECAY,
+            "omega_eff_target_mhz": _TARGET,
             "omega_c_min_mhz": Key(_mhz(0, lo_open=True), default=20.0),
             "omega_c_max_mhz": Key(_mhz(0, lo_open=True), default=200.0),
             "n_points": Key(_int(2), default=7),
@@ -153,10 +171,12 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     ),
     "scan-n": (
         {
-            **{k: v for k, v in _PROTOCOL_BASE.items() if k != "n_atoms"},
+            **_DELTA_P,
+            **_PULSE,
+            "model": Key(_choice(*SCAN_N_MODELS)),
             "poisson_mean": Key(_float(1.0), required=True),
-            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
-            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "omega_c_mhz": _OMEGA_C,
+            "omega_eff_target_mhz": _TARGET,
             "delta_c_over_omega_c": Key(_float(-3.0, 1.0), default=-0.5),
             "half_width_sigmas": Key(_float(1.0), default=6.0),
         },
@@ -164,9 +184,11 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
     ),
     "lindblad-scan": (
         {
-            **_PROTOCOL_BASE,
-            "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
-            "omega_eff_target_mhz": Key(_mhz(0, lo_open=True), required=True),
+            "n_atoms": _N_ATOMS,
+            **_DELTA_P,
+            **_PULSE,
+            "omega_c_mhz": _OMEGA_C,
+            "omega_eff_target_mhz": _TARGET,
             "delta_c_over_omega_c": Key(_float(-3.0, 1.0), default=-0.5),
             "channel": Key(_choice("gamma_e", "gamma_r", "gamma_d"), required=True),
             "gamma_min_mhz": Key(_mhz(0), default=0.0),
@@ -193,11 +215,14 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
                 _float(0, MAX_RAMP_TIME_NS, lo_open=True), default=300.0
             ),
             "trap_diameter_um": Key(_float(0, lo_open=True), default=1.0),
-            "trap_volume_um3": Key(_float(0, lo_open=True), default=1.0),
+            "trap_volume_um3": Key(
+                _float(0, MAX_TRAP_VOLUME_UM3, lo_open=True), default=1.0
+            ),
             "n_atoms": Key(_int(2), default=100),
             "ion_mass_amu": Key(_float(MIN_ION_MASS_AMU), default=88.0),
             "differential_polarizability_si": Key(
-                _float(0), default=IonEscapeConfig.differential_polarizability
+                _float(0, MAX_POLARIZABILITY_SI),
+                default=IonEscapeConfig.differential_polarizability,
             ),
             "phase_threshold_rad": Key(_float(0, lo_open=True), default=0.01),
             "softening_radius_um": Key(
@@ -330,6 +355,13 @@ def parse_config(text: str, experiment: str) -> RunConfig:
                 f"{exc} (atom numbers N >= 2 within "
                 f"{values['half_width_sigmas']:g} sigmas)"
             ) from exc
+    rates = [k for k in _RATE_KEYS if values.get(k, 0.0) > 0]
+    if rates and values.get("model", "lindblad") != "lindblad":
+        raise ConfigError(
+            f"line {lines['model']}: invalid value for 'model': "
+            f"{values['model']!r} ignores the decay rate {rates[0]!r}; "
+            "only 'lindblad' models decay"
+        )
     if experiment in ("rabi", "lindblad-scan"):
         _check_master_equation_work(RunConfig(experiment, values))
     if experiment == "ion-mc":
@@ -348,9 +380,8 @@ def _check_master_equation_work(rc: RunConfig) -> None:
     """dynamics.check_lindblad_work on a rabi run under the lindblad model,
     or on a lindblad-scan at its largest rate.  Runs whose atom number the
     master equation refuses are left to that refusal."""
-    cfg, model, _ = protocol_config(rc)
+    cfg, model = protocol_config(rc)
     if rc.experiment == "lindblad-scan":
-        model = "lindblad"
         v = rc.values
         top = TWO_PI * max(v["gamma_min_mhz"], v["gamma_max_mhz"])
         cfg = replace(cfg, rates=DecoherenceRates(**{v["channel"]: top}))
@@ -369,11 +400,13 @@ def _resolve_delta_c(values: dict, omega_c: float) -> float:
     return values["delta_c_over_omega_c"] * omega_c
 
 
-def protocol_config(rc: RunConfig) -> tuple[ProtocolConfig, str, int]:
-    """(ProtocolConfig, model, n_times) for the protocol-type experiments.
+def protocol_config(rc: RunConfig) -> tuple[ProtocolConfig, str]:
+    """(ProtocolConfig, model) for the protocol-type experiments.
 
     For scans the returned config is the sweep baseline; the grid axis is
-    substituted per point by the scan routine.
+    substituted per point by the scan routine.  The model is the configured
+    one; else lindblad for a lindblad-scan or when a decay rate is > 0;
+    else full for a rabi run that the product basis holds; else dicke.
     """
     v = rc.values
     if rc.experiment == "scan-oc":
@@ -415,15 +448,13 @@ def protocol_config(rc: RunConfig) -> tuple[ProtocolConfig, str, int]:
     )
     if "model" in v:
         model = v["model"]
-    elif rc.experiment == "lindblad-scan":
-        model = "lindblad"
-    elif rc.experiment == "rabi" and not rates.all_zero:
+    elif rc.experiment == "lindblad-scan" or not rates.all_zero:
         model = "lindblad"
     elif rc.experiment == "rabi" and n_atoms <= N_MAX_PRODUCT_VECTOR:
         model = "full"
     else:
         model = "dicke"
-    return cfg, model, v.get("n_times", 201)
+    return cfg, model
 
 
 def ion_config(rc: RunConfig) -> IonEscapeConfig:

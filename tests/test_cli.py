@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,14 @@ from superatom.basis import N_MAX_DICKE
 from superatom.cli import _round12, main, write_csv
 from superatom.config import (
     EXPERIMENTS,
+    SCAN_N_MODELS,
+    SCHEMAS,
     ConfigError,
     ion_config,
     parse_config,
     protocol_config,
 )
+from superatom.dynamics import DecoherenceRates
 from superatom.hamiltonians import TWO_PI
 from superatom.protocol import MODELS, NO_HERALD_EPS, PoissonEnsemble, run_protocol
 
@@ -102,12 +106,12 @@ class TestParsing:
 class TestConfigBuilders:
     def test_units_converted_to_angular(self):
         rc = parse_config(RABI_CFG, "rabi")
-        cfg, model, n_times = protocol_config(rc)
+        cfg, model = protocol_config(rc)
         assert cfg.params.omega_c == pytest.approx(TWO_PI * 10.0)
         assert cfg.params.omega_p == pytest.approx(TWO_PI * 0.7)
         assert cfg.params.delta_c == pytest.approx(-TWO_PI * 5.0)
         assert np.isnan(cfg.params.delta_p)  # auto-resolved later
-        assert model == "full" and n_times == 201
+        assert model == "full" and rc.values["n_times"] == 201
 
     def test_round_trip_exact(self):
         """parse(emit(config echo)) reproduces the RunConfig exactly."""
@@ -146,9 +150,55 @@ class TestConfigBuilders:
     def test_lindblad_rates_converted(self):
         text = RABI_CFG + "gamma_e_mhz = 0.001\nmodel = lindblad\n"
         rc = parse_config(text, "rabi")
-        cfg, model, _ = protocol_config(rc)
+        cfg, model = protocol_config(rc)
         assert cfg.rates.gamma_e == pytest.approx(TWO_PI * 1e-3)
         assert model == "lindblad"
+
+    @pytest.mark.parametrize("experiment,text,want", [
+        ("rabi", RABI_CFG, "full"),
+        ("rabi", RABI_CFG.replace("n_atoms = 4", "n_atoms = 9"), "dicke"),
+        ("rabi", RABI_CFG + "gamma_r_mhz = 0.001\n", "lindblad"),
+        ("rabi", RABI_CFG + "model = dicke\ngamma_e_mhz = 0\n", "dicke"),
+        ("scan-dc", SCAN_DC_CFG, "dicke"),
+        ("scan-dc", SCAN_DC_CFG + "gamma_coll_mhz = 0.001\n", "lindblad"),
+        ("scan-oc", "n_atoms = 3\nomega_eff_target_mhz = 0.1\n"
+         "gamma_d_mhz = 0.001\n", "lindblad"),
+        ("scan-n", "poisson_mean = 20\nomega_c_mhz = 20\n"
+         "omega_eff_target_mhz = 0.1\n", "dicke"),
+        ("lindblad-scan", LINDBLAD_CFG, "lindblad"),
+    ], ids=["rabi-n4", "rabi-n9", "rabi-rate", "rabi-model-zero-rate", "scan-dc",
+            "scan-dc-rate", "scan-oc-rate", "scan-n", "lindblad-scan"])
+    def test_default_model_rule(self, experiment, text, want):
+        """The configured model; else lindblad for a lindblad-scan or a
+        decay rate > 0; else full for rabi at N <= 8; else dicke."""
+        assert protocol_config(parse_config(text, experiment))[1] == want
+
+    @pytest.mark.parametrize("experiment,text", [
+        ("rabi", RABI_CFG + "model = full\ngamma_e_mhz = 0.001\n"),
+        ("scan-dc", SCAN_DC_CFG + "gamma_d_mhz = 0.001\nmodel = effective2\n"),
+        ("scan-oc", "n_atoms = 3\nomega_eff_target_mhz = 0.1\nmodel = dicke\n"
+         "gamma_r_mhz = 0.001\n"),
+    ], ids=["rabi", "scan-dc", "scan-oc"])
+    def test_pure_model_with_decay_rate_refused(self, experiment, text):
+        """Only the lindblad model reads the decay rates."""
+        with pytest.raises(ConfigError, match=r"invalid value for 'model'.*decay"):
+            parse_config(text, experiment)
+
+    @pytest.mark.parametrize("experiment,key", [
+        *((e, "n_times") for e in ("scan-dc", "scan-oc", "scan-n", "lindblad-scan")),
+        ("scan-dc", "delta_p_mhz"), ("scan-oc", "delta_p_mhz"),
+        ("lindblad-scan", "model"),
+        *((e, f"gamma_{c}_mhz") for e in ("scan-n", "lindblad-scan")
+          for c in ("e", "r", "d", "coll")),
+    ])
+    def test_key_no_run_reads_is_unknown(self, experiment, key):
+        """scan-dc and scan-oc solve delta_p per point, every scan runs a
+        fixed time grid, scan-n runs no master equation, and lindblad-scan
+        takes its model and its one rate from channel and the grid."""
+        schema, _ = SCHEMAS[experiment]
+        text = "".join(f"{k} = 1\n" for k, spec in schema.items() if spec.required)
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(text + f"{key} = 1\n", experiment)
 
 
 def run_cli(tmp_path, experiment, text, extra=()):
@@ -196,8 +246,8 @@ class TestFormatting:
         text = RABI_CFG + "pulse_time_us = 4e-4\nn_times = 11\n"
         code, out = run_cli(tmp_path, "rabi", text)
         assert code == 0
-        cfg, model, n_times = protocol_config(parse_config(text, "rabi"))
-        traj = run_protocol(cfg, model, n_times).trajectory
+        cfg, model = protocol_config(parse_config(text, "rabi"))
+        traj = run_protocol(cfg, model, 11).trajectory
         cols = ("p_G", "p_E", "p_R", "p_E2", "p_ER", "p_ryd")
         rows = []
         for k, t in enumerate(traj.times.tolist()):
@@ -491,6 +541,24 @@ class TestMainEntry:
         assert len(err) == 1 and "invalid value for 'poisson_mean'" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("model", ["lindblad", "full"])
+    def test_scan_n_model_that_cannot_finish_refused(self, tmp_path, capsys,
+                                                     monkeypatch, model):
+        """Covering 1 - 1e-6 of the Poisson mass with N >= 2 takes a mean of
+        about 17, whose window reaches past the master equation's N <= 4 and
+        the product basis's N <= 8.  Both models are refused while parsing."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr("superatom.protocol.run_protocol", refuse)
+        text = ("poisson_mean = 17\nomega_c_mhz = 20\n"
+                f"omega_eff_target_mhz = 0.1\nmodel = {model}\n")
+        code, out = run_cli(tmp_path, "scan-n", text)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "invalid value for 'model'" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment,text,key", [
         ("ion-mc", "n_trajectories = 1\ntime_step_ns = 0.11\n", "time_step_ns"),
         ("rabi", RABI_CFG + "pulse_time_us = 5e-324\n", "pulse_time_us"),
@@ -517,10 +585,14 @@ class TestMainEntry:
         ("lindblad-scan", LINDBLAD_CFG.replace("gamma_max_mhz = 0.001",
                                                "gamma_max_mhz = 1e-300"),
          "gamma_max_mhz"),
+        ("ion-mc", "n_trajectories = 1\ndifferential_polarizability_si = 1e300\n",
+         "differential_polarizability_si"),
+        ("ion-mc", "n_trajectories = 1\ntrap_volume_um3 = 1e60\n", "trap_volume_um3"),
     ], ids=["ion-step", "rabi-pulse", "scan-dc-pulse", "jc-total-time",
             "rabi-omega-c", "rabi-delta-c", "scan-dc-omega-c", "ion-softening",
             "ion-field", "ion-ramp-time", "ion-step-count", "ion-default-horizon",
-            "ion-mass-underflow", "ion-mass-below-proton", "lindblad-gamma-subnormal"])
+            "ion-mass-underflow", "ion-mass-below-proton", "lindblad-gamma-subnormal",
+            "ion-polarizability", "ion-trap-volume"])
     def test_unrunnable_value_rejected_while_parsing(self, tmp_path, capsys,
                                                       monkeypatch, experiment,
                                                       text, key):
@@ -670,6 +742,85 @@ class TestMainEntry:
         assert code == 0
 
 
+# A tiny config of each protocol experiment, and for every optional key a
+# value away from its default.
+_TINY = {
+    "rabi": {"n_atoms": "2", "omega_c_mhz": "10", "omega_p_mhz": "0.7",
+             "delta_c_over_omega_c": "-0.5"},
+    "scan-dc": {"n_atoms": "2", "omega_c_mhz": "10",
+                "omega_eff_target_mhz": "0.5", "n_points": "2"},
+    "scan-oc": {"n_atoms": "2", "omega_eff_target_mhz": "0.5", "n_points": "2"},
+    "scan-n": {"poisson_mean": "17", "omega_c_mhz": "10",
+               "omega_eff_target_mhz": "0.5"},
+    "lindblad-scan": {"n_atoms": "2", "omega_c_mhz": "10",
+                      "omega_eff_target_mhz": "0.5", "channel": "gamma_e",
+                      "gamma_max_mhz": "0.01", "n_points": "2"},
+}
+_OTHER_VALUE = {
+    "delta_p_mhz": "3", "pulse_time_us": "0.2", "n_times": "5",
+    "gamma_e_mhz": "0.01", "gamma_r_mhz": "0.01", "gamma_d_mhz": "0.01",
+    "gamma_coll_mhz": "0.01", "omega_eff_target_mhz": "0.5",
+    "delta_c_mhz": "-2", "delta_c_over_omega_c": "-0.7", "ratio_min": "-1",
+    "ratio_max": "-0.2", "omega_c_min_mhz": "30", "omega_c_max_mhz": "100",
+    "half_width_sigmas": "7", "gamma_min_mhz": "0.005",
+}
+_OPTIONAL_KEYS = [(e, k) for e in _TINY
+                  for k, spec in SCHEMAS[e][0].items() if not spec.required]
+
+
+class TestEveryKeyReachesTheRun:
+    """Each optional key of a protocol experiment changes what reaches
+    protocol.run_protocol: a config with the key at a non-default value
+    against the same config without it.  A key of an exactly-one pair is
+    compared against its partner."""
+
+    @staticmethod
+    def recorded_calls(tmp_path, monkeypatch, experiment, keys) -> str:
+        """repr of every (cfg, model, n_times) given to run_protocol; the
+        decay rates are kept only for the lindblad model, the one that
+        reads them."""
+        from superatom import cli, protocol
+
+        calls, real = [], protocol.run_protocol
+
+        def recording(cfg, model="dicke", n_times=201):
+            kept = cfg if model == "lindblad" else replace(
+                cfg, rates=DecoherenceRates())
+            calls.append((kept, model, n_times))
+            return real(cfg, model, n_times)
+
+        monkeypatch.setattr(protocol, "run_protocol", recording)
+        monkeypatch.setattr(cli, "run_protocol", recording)
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        code, _ = run_cli(tmp_path, experiment, text)
+        assert code == 0
+        return repr(calls)
+
+    @pytest.mark.parametrize("experiment,key", _OPTIONAL_KEYS,
+                             ids=[f"{e}-{k}" for e, k in _OPTIONAL_KEYS])
+    def test_key_changes_the_run(self, tmp_path, monkeypatch, experiment, key):
+        base = _TINY[experiment]
+        partner = next((b if a == key else a for a, b, _ in SCHEMAS[experiment][1]
+                        if key in (a, b)), None)
+        value = base.get(key, _OTHER_VALUE.get(key))
+        if key == "model":
+            value = "dicke" if experiment == "rabi" else "restricted6"
+        with_key = {k: v for k, v in base.items() if k != partner}
+        with_key[key] = value
+        without = {k: v for k, v in base.items() if k != key}
+        if partner and partner not in without:
+            without[partner] = _OTHER_VALUE[partner]
+        default = SCHEMAS[experiment][0][key].default
+        assert default is None or parse_config(
+            "".join(f"{k} = {v}\n" for k, v in with_key.items()), experiment
+        ).values[key] != default
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        assert self.recorded_calls(tmp_path / "a", monkeypatch, experiment,
+                                   with_key) != self.recorded_calls(
+            tmp_path / "b", monkeypatch, experiment, without)
+
+
 # Runs cli.main on each argv of argv[1] (a JSON list) in a fresh interpreter,
 # then prints the exit codes and every scipy module that was imported.
 _FRESH_RUN = """\
@@ -728,12 +879,12 @@ class TestImports:
         assert "scipy.integrate" in got["scipy"]
 
 
-# Configs the schemas accept, with every knob that sets a run's cost bounded:
-# N <= 3 (scan-n: a Poisson mean of 20-40, whose master-equation and
-# product-basis points stop at the capacity limits), grids of at most 4
-# points, at most 12 output times, a few ion trajectories over at most
-# 100 ns.  A master-equation rabi run always gets an explicit pulse of at
-# most 5 us; target-driven runs last pi/omega_eff <= 5 us.
+# Configs the schemas accept, each drawn from its experiment's own keys, with
+# every knob that sets a run's cost bounded: N <= 3 (scan-n: a Poisson mean
+# of 20-40), grids of at most 4 points, at most 12 output times, a few ion
+# trajectories over at most 100 ns.  A master-equation rabi run always gets
+# an explicit pulse of at most 5 us; target-driven runs last
+# pi/omega_eff <= 5 us.
 
 
 def _num(lo, hi):
@@ -743,13 +894,9 @@ def _num(lo, hi):
 _PULSE_US = st.sampled_from(["1e-9", "1e-6"]) | _num(0.01, 5.0)
 _RATES = {k: _num(0.0, 0.05) for k in (
     "gamma_e_mhz", "gamma_r_mhz", "gamma_d_mhz", "gamma_coll_mhz")}
-_PROTOCOL = {
-    "delta_p_mhz": _num(-20.0, 20.0),
-    "pulse_time_us": _PULSE_US,
-    "n_times": st.integers(2, 12).map(str),
-    "model": st.sampled_from(MODELS),
-    **_RATES,
-}
+_DELTA_P = {"delta_p_mhz": _num(-20.0, 20.0)}
+_PULSE = {"pulse_time_us": _PULSE_US}
+_MODEL = {"model": st.sampled_from(MODELS)}
 _N_ATOMS = st.sampled_from(["2", "3", "1"])
 _OMEGA_C = _num(1.0, 20.0)
 _TARGET = _num(0.1, 1.0)
@@ -764,9 +911,20 @@ def _either(draw, a, b):
 
 
 @st.composite
-def _rabi(draw):
+def _decaying(draw, required, optional):
+    """Keys of rabi, scan-dc or scan-oc: decay rates only where the model
+    reads them (a pure model with a rate > 0 is refused while parsing)."""
     keys = draw(st.fixed_dictionaries(
-        {"n_atoms": _N_ATOMS, "omega_c_mhz": _OMEGA_C}, optional=_PROTOCOL))
+        required, optional={**_PULSE, **_MODEL, **_RATES, **optional}))
+    if keys.get("model", "lindblad") != "lindblad":
+        keys = {k: v for k, v in keys.items() if k not in _RATES}
+    return keys
+
+
+@st.composite
+def _rabi(draw):
+    keys = draw(_decaying({"n_atoms": _N_ATOMS, "omega_c_mhz": _OMEGA_C},
+                          {**_DELTA_P, "n_times": st.integers(2, 12).map(str)}))
     keys.update(_either(draw, ("omega_p_mhz", _num(0.5, 5.0)),
                         ("omega_eff_target_mhz", _TARGET)))
     keys.update(_either(draw, ("delta_c_mhz", _num(-20.0, 20.0)),
@@ -780,27 +938,28 @@ def _rabi(draw):
 
 _CONFIGS = {
     "rabi": _rabi(),
-    "scan-dc": st.fixed_dictionaries(
+    "scan-dc": _decaying(
         {"n_atoms": _N_ATOMS, "omega_c_mhz": _OMEGA_C,
          "omega_eff_target_mhz": _TARGET, "n_points": _GRID},
-        optional={"ratio_min": _RATIO, "ratio_max": _RATIO, **_PROTOCOL}),
-    "scan-oc": st.fixed_dictionaries(
+        {"ratio_min": _RATIO, "ratio_max": _RATIO}),
+    "scan-oc": _decaying(
         {"n_atoms": _N_ATOMS, "omega_eff_target_mhz": _TARGET,
          "omega_c_min_mhz": _OMEGA_C, "omega_c_max_mhz": _OMEGA_C,
          "n_points": _GRID},
-        optional=_PROTOCOL),
+        {}),
     "scan-n": st.fixed_dictionaries(
         {"poisson_mean": _num(20.0, 40.0), "omega_c_mhz": _OMEGA_C,
          "omega_eff_target_mhz": _TARGET},
         optional={"half_width_sigmas": _num(5.5, 6.0),
-                  "delta_c_over_omega_c": _RATIO, **_PROTOCOL}),
+                  "delta_c_over_omega_c": _RATIO, **_DELTA_P, **_PULSE,
+                  "model": st.sampled_from(SCAN_N_MODELS)}),
     "lindblad-scan": st.fixed_dictionaries(
         {"n_atoms": _N_ATOMS, "omega_c_mhz": _OMEGA_C,
          "omega_eff_target_mhz": _TARGET, "n_points": _GRID,
          "channel": st.sampled_from(["gamma_e", "gamma_r", "gamma_d"]),
          "gamma_max_mhz": _num(1e-4, 0.05)},
         optional={"delta_c_over_omega_c": _RATIO, "gamma_min_mhz": _num(0.0, 0.05),
-                  **_PROTOCOL}),
+                  **_DELTA_P, **_PULSE}),
     "jc-demo": st.fixed_dictionaries(
         {"n_atoms": st.integers(1, 30).map(str), "omega_p_mhz": _num(0.1, 5.0),
          "omega_c_mhz": _num(1.0, 50.0), "probe_pulse_time_us": _PULSE_US,
