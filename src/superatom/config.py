@@ -48,6 +48,7 @@ MAX_FREQUENCY_MHZ = 1e9  # every *_mhz key: 1 PHz, above optical frequencies
 MAX_FIELD_V_PER_M = 1e12  # above the atomic unit of field, 5.1e11 V/m
 MAX_RAMP_TIME_NS = 1e9  # 1 s
 MAX_SOFTENING_RADIUS_UM = 1e6  # 1 m
+MAX_TRAP_DIAMETER_UM = 1e6  # 1 m
 # Nine decades above Sr's 4.1e-39; at 1e300 every spectator phase overflows.
 MAX_POLARIZABILITY_SI = 1e-30  # C m^2 / V
 # A 1 mm cube; at 1e60 (positions near 1e14 m) the ion's step rounds away.
@@ -214,7 +215,9 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
             "ramp_time_ns": Key(
                 _float(0, MAX_RAMP_TIME_NS, lo_open=True), default=300.0
             ),
-            "trap_diameter_um": Key(_float(0, lo_open=True), default=1.0),
+            "trap_diameter_um": Key(
+                _float(0, MAX_TRAP_DIAMETER_UM, lo_open=True), default=1.0
+            ),
             "trap_volume_um3": Key(
                 _float(0, MAX_TRAP_VOLUME_UM3, lo_open=True), default=1.0
             ),

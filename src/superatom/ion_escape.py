@@ -32,9 +32,11 @@ SR_CLOCK_DIFF_POLARIZABILITY = 4.078e-39  # C m^2 / V
 NO_ESCAPE = float("inf")
 
 # Cap on the velocity-Verlet steps over the horizon, max_time / time_step.
-# A step costs about 44 us for one trajectory and 0.67 ms for 100
-# trajectories of 100 atoms (one core), so a run at the cap that no ion
-# escapes takes about 44 s and 11 min; the default horizon is 3e4 steps.
+# A step costs about 21 us for one trajectory of 100 atoms and 76 us for 100
+# such trajectories (median of 3 runs of 2e4 steps with no ramp field, so no
+# ion escapes; one BLAS thread, 2-core x86-64, numpy 2.4), so a run at the
+# cap that no ion escapes takes about 21 s and 76 s; the default horizon is
+# 3e4 steps.
 ION_MAX_STEPS = 10**6
 
 MAX_TIME_STEP_NS = 0.1  # largest velocity-Verlet step
@@ -93,7 +95,7 @@ class EscapeResult:
     escape_time_std: float  # ns, spread over trajectories
     per_atom_phases: np.ndarray  # rad, (n_trajectories * (n_atoms-1),)
     fraction_significant: float
-    external_field_phase: float  # rad, from the ramp field itself
+    external_field_phase: float  # rad, ramp field alone, at escape (nan if none)
     n_close_collisions: int
     energy_balance_error: float  # relative |KE - work| at exit, worst case
 
@@ -176,14 +178,28 @@ def simulate_escape(cfg: IonEscapeConfig) -> EscapeResult:
 
     The ion feels only the ramp field, a function of t alone, so all
     trajectories share t, the step sequence and the acceleration; only the
-    start point and the spectator cloud differ.  The live arrays hold the
-    trajectories that have not escaped yet; each one is frozen and dropped
-    at the step it escapes.  Results are deterministic for a given seed and
-    trajectory i is the same whatever n_trajectories is.
+    start point and the spectator cloud differ.  The field points along z
+    and every ion starts at rest, so the x and y update is p + 0*dt +
+    0.5*0*dt**2 = p: each ion's x and y stay fixed bit for bit, and all
+    live ions share one velocity and one acceleration.  Only z is stepped,
+    and each spectator's squared lateral distance dx^2 + dy^2 is computed
+    once; adding dz^2 to it sums in the order the 3-D distance did, so the
+    results are those of 3-D stepping bit for bit.  A transverse force
+    (none is modelled) would have to bring back 3-D stepping.
+
+    The live arrays hold the trajectories that have not escaped yet; each
+    one is frozen and dropped at the step it escapes.  Results are
+    deterministic for a given seed and trajectory i is the same whatever
+    n_trajectories is.
     """
-    spectators, pos = _initial_state(cfg)
-    start = pos.copy()
+    spectators, start = _initial_state(cfg)
     n_traj, n_spec = cfg.n_trajectories, cfg.n_atoms - 1
+    lateral2 = (spectators[:, :, 0] - start[:, 0, None]) ** 2 + (
+        spectators[:, :, 1] - start[:, 1, None]
+    ) ** 2
+    spec_z = np.ascontiguousarray(spectators[:, :, 2])
+    z0 = start[:, 2].copy()
+    z = z0.copy()
 
     m = cfg.ion_mass * AMU
     dt = cfg.time_step * 1e-9
@@ -196,18 +212,18 @@ def simulate_escape(cfg: IonEscapeConfig) -> EscapeResult:
     times = np.full(n_traj, NO_ESCAPE)
     phases = np.zeros((n_traj, n_spec))
     collided = np.zeros((n_traj, n_spec), dtype=bool)
-    end_vel = np.zeros((n_traj, 3))
+    end_vel = np.zeros(n_traj)
     work = np.zeros(n_traj)
 
-    # live state: row k is trajectory live[k]
+    # live state: row k is trajectory live[k]; vel is shared by all of them
     live = np.arange(n_traj)
-    vel = np.zeros((n_traj, 3))
+    vel = 0.0
     live_work = np.zeros(n_traj)
     live_phases = np.zeros((n_traj, n_spec))
     live_collided = np.zeros((n_traj, n_spec), dtype=bool)
 
-    def coulomb_rate(p):
-        d2 = ((spectators - p[:, None, :]) ** 2).sum(axis=2)
+    def coulomb_rate(z):
+        d2 = lateral2 + (spec_z - z[:, None]) ** 2
         live_collided[d2 < r_soft**2] = True
         return e_sq_pref / np.maximum(d2, r_soft**2) ** 2
 
@@ -215,36 +231,37 @@ def simulate_escape(cfg: IonEscapeConfig) -> EscapeResult:
         idx = live[rows]
         phases[idx] = live_phases[rows]
         collided[idx] = live_collided[rows]
-        end_vel[idx] = vel[rows]
+        end_vel[idx] = vel
         work[idx] = live_work[rows]
 
     t = 0.0
-    rate = coulomb_rate(pos)
-    accel = np.array([0.0, 0.0, E_CHARGE * _field_at(t, cfg) / m])
+    rate = coulomb_rate(z)
+    accel = E_CHARGE * _field_at(t, cfg) / m
     horizon = cfg.horizon * 1e-9
     while t < horizon and live.size:
-        new_pos = pos + vel * dt + 0.5 * accel * dt**2
-        new_accel = np.array([0.0, 0.0, E_CHARGE * _field_at(t + dt, cfg) / m])
+        new_z = z + vel * dt + 0.5 * accel * dt**2
+        new_accel = E_CHARGE * _field_at(t + dt, cfg) / m
         vel = vel + 0.5 * (accel + new_accel) * dt
         live_work += E_CHARGE * 0.5 * (
             _field_at(t, cfg) + _field_at(t + dt, cfg)
-        ) * (new_pos[:, 2] - pos[:, 2])
-        new_rate = coulomb_rate(new_pos)
+        ) * (new_z - z)
+        new_rate = coulomb_rate(new_z)
         live_phases += phase_pref * 0.5 * (rate + new_rate) * dt
-        pos, accel, rate = new_pos, new_accel, new_rate
+        z, accel, rate = new_z, new_accel, new_rate
         t += dt
-        escaped = np.linalg.norm(pos - start, axis=1) >= d_escape
+        # the 3-D norm sqrt(0 + 0 + dz^2) is |dz| unless dz^2 underflows
+        escaped = np.abs(z - z0) >= d_escape
         if escaped.any():
             times[live[escaped]] = t * 1e9
             freeze(escaped)
             keep = ~escaped
-            live, pos, start, vel = live[keep], pos[keep], start[keep], vel[keep]
-            spectators, rate = spectators[keep], rate[keep]
+            live, z, z0, rate = live[keep], z[keep], z0[keep], rate[keep]
+            lateral2, spec_z = lateral2[keep], spec_z[keep]
             live_work, live_phases = live_work[keep], live_phases[keep]
             live_collided = live_collided[keep]
     freeze(slice(None))  # trajectories still inside at the horizon
 
-    kinetic = 0.5 * m * np.einsum("ij,ij->i", end_vel, end_vel)
+    kinetic = 0.5 * m * (end_vel * end_vel)
     energy_err = np.zeros(n_traj)
     worked = work > 0
     energy_err[worked] = np.abs(kinetic[worked] - work[worked]) / work[worked]
@@ -252,15 +269,16 @@ def simulate_escape(cfg: IonEscapeConfig) -> EscapeResult:
     per_atom = phases.ravel()
     finite = times[np.isfinite(times)]
     if finite.size == 0:
-        esc, esc_std = NO_ESCAPE, 0.0
+        esc, esc_std, field_phase = NO_ESCAPE, 0.0, np.nan
     else:
         esc, esc_std = float(finite.mean()), float(finite.std())
+        field_phase = ramp_field_phase(cfg, esc)
     return EscapeResult(
         escape_time=esc,
         escape_time_std=esc_std,
         per_atom_phases=per_atom,
         fraction_significant=float(np.mean(per_atom > cfg.phase_threshold)),
-        external_field_phase=ramp_field_phase(cfg, esc if np.isfinite(esc) else None),
+        external_field_phase=field_phase,
         n_close_collisions=int(collided.sum()),
         energy_balance_error=float(energy_err.max()),
     )

@@ -321,6 +321,17 @@ class TestMainEntry:
         curve = (out / "scan.csv").read_text().splitlines()
         assert curve[0] == "phase_threshold_rad,fraction_significant"
 
+    def test_ion_mc_no_escape_within_horizon(self, tmp_path):
+        """The ion escapes at about 25 ns; a 5 ns horizon ends before that, so
+        the escape time and the ramp-field phase at escape are both undefined,
+        not the phase at the ballistic escape time past the horizon."""
+        text = "n_trajectories = 2\nn_atoms = 3\nmax_time_ns = 5\n"
+        code, out = run_cli(tmp_path, "ion-mc", text)
+        assert code == 0
+        results = json.loads((out / "summary.json").read_text())["results"]
+        assert results["escape_time_ns"] is None
+        assert results["external_field_phase_rad"] is None
+
     def test_seed_flag_refused(self, tmp_path, capsys):
         """The seed is set only by the config's seed key, which is checked."""
         with pytest.raises(SystemExit) as exc:
@@ -588,11 +599,12 @@ class TestMainEntry:
         ("ion-mc", "n_trajectories = 1\ndifferential_polarizability_si = 1e300\n",
          "differential_polarizability_si"),
         ("ion-mc", "n_trajectories = 1\ntrap_volume_um3 = 1e60\n", "trap_volume_um3"),
+        ("ion-mc", "n_trajectories = 1\ntrap_diameter_um = 1e12\n", "trap_diameter_um"),
     ], ids=["ion-step", "rabi-pulse", "scan-dc-pulse", "jc-total-time",
             "rabi-omega-c", "rabi-delta-c", "scan-dc-omega-c", "ion-softening",
             "ion-field", "ion-ramp-time", "ion-step-count", "ion-default-horizon",
             "ion-mass-underflow", "ion-mass-below-proton", "lindblad-gamma-subnormal",
-            "ion-polarizability", "ion-trap-volume"])
+            "ion-polarizability", "ion-trap-volume", "ion-trap-diameter"])
     def test_unrunnable_value_rejected_while_parsing(self, tmp_path, capsys,
                                                       monkeypatch, experiment,
                                                       text, key):

@@ -44,6 +44,7 @@ class TestKinematics:
         cfg = IonEscapeConfig(ramp_field_max=0.0, n_trajectories=2, n_atoms=3)
         res = simulate_escape(cfg)
         assert res.escape_time == NO_ESCAPE
+        assert np.isnan(res.external_field_phase)
 
     def test_energy_bookkeeping(self, default_result):
         # kinetic energy at exit equals the work done by the ramp field
@@ -201,10 +202,13 @@ class TestLockStepMatchesReference:
             # an escape distance on a step boundary: trajectories escape at
             # two different steps, so some freeze while others run on
             {"trap_diameter": 0.0627520132884533},
+            # the benchmark's shape: 99 spectators per trajectory
+            {"n_atoms": 100, "rng_seed": 5, "n_trajectories": 24},
+            {"ramp_field_max": 0.0, "max_time": 5.0},  # no field, no escape
         ],
     )
     def test_bit_identical(self, kw):
-        cfg = IonEscapeConfig(n_trajectories=12, n_atoms=20, **kw)
+        cfg = IonEscapeConfig(**{"n_trajectories": 12, "n_atoms": 20, **kw})
         refs = [_reference_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
         times = np.array([r[0] for r in refs])
         res = simulate_escape(cfg)
