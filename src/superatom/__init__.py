@@ -31,7 +31,6 @@ from .hamiltonians import (
     build_dicke_hamiltonian,
     build_product_hamiltonian,
     build_restricted_hamiltonian,
-    dressed_block,
     resonance_probe_detuning,
 )
 from .ion_escape import EscapeResult, IonEscapeConfig, simulate_escape

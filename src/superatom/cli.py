@@ -7,8 +7,9 @@ summary; only then is DIR created and both files written, so a run that
 exits non-zero writes nothing.  --workers is accepted only as 1, for
 compatibility with older command lines.
 
-Exit codes: 0 success, 2 configuration error (refused while parsing, or a
-BasisError refusal such as a probe too weak for a finite pi-pulse),
+Exit codes: 0 success, 2 configuration error (refused while parsing, a
+BasisError refusal such as a probe too weak for a finite pi-pulse, or a
+--config that cannot be read or an --out that cannot be written),
 3 capacity exceeded (a documented limit, or an array that cannot be
 allocated), 4 numerical failure.  Every CSV cell is written with 12
 significant digits, and an undefined one (None or NaN) is left empty.
@@ -303,9 +304,12 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         rc = parse_config(text, args.experiment)
         name, header, table, resolved, results = _RUNNERS[args.experiment](rc)
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_csv(args.out / name, header, table)
-        write_summary(args.out / "summary.json", rc, resolved, results)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            write_csv(args.out / name, header, table)
+            write_summary(args.out / "summary.json", rc, resolved, results)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from exc
     except (ConfigError, BasisError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -27,6 +27,7 @@ from .ion_escape import ION_MAX_STEPS, MAX_TIME_STEP_NS, IonEscapeConfig
 from .protocol import (
     AUTO_DELTA_P,
     MODELS,
+    POISSON_N_FLOOR,
     SCAN_N_TIMES,
     PoissonEnsemble,
     ProtocolConfig,
@@ -355,7 +356,7 @@ def parse_config(text: str, experiment: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(
                 f"{where}: invalid value for 'poisson_mean': "
-                f"{exc} (atom numbers N >= 2 within "
+                f"{exc} (atom numbers N >= {POISSON_N_FLOOR} within "
                 f"{values['half_width_sigmas']:g} sigmas)"
             ) from exc
     rates = [k for k in _RATE_KEYS if values.get(k, 0.0) > 0]

@@ -58,16 +58,6 @@ class LaserParams:
         return dataclasses.replace(self, **kw)
 
 
-@dataclass(frozen=True)
-class DressedState:
-    """Eigenstate of the coupling-laser 2x2 block with total excitation n."""
-
-    n: int
-    branch: str  # "+" (higher energy) or "-"
-    energy: float
-    composition: np.ndarray  # amplitudes on (|E^n R^0>, |E^{n-1} R^1>)
-
-
 def build_product_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
     """Hamiltonian over the blockade-truncated product basis.
 
@@ -123,6 +113,37 @@ def symmetric_block(h: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
     return s.T @ h @ s
 
 
+def _dicke_chain(params: LaserParams, n_atoms: int, n_max: int) -> np.ndarray:
+    """The Dicke Hamiltonian of N = n_atoms on its first 2*n_max + 1
+    positions, the states with at most n_max excitations.
+
+    Within those positions every matrix element is the one of the whole
+    chain, so this is its leading block, bit for bit.
+    """
+    if n_atoms > N_MAX_DICKE:
+        raise CapacityError(f"Dicke basis for N={n_atoms} exceeds limit {N_MAX_DICKE}")
+    j, s = dicke_labels(n_max)
+    h = np.zeros((dicke_dimension(n_max),) * 2)
+    np.fill_diagonal(h, -j * params.delta_p - s * (params.delta_p + params.delta_c))
+    j0 = np.arange(n_max)
+    j1 = j0[:-1]
+    up = 2 * j0 + 1  # position of |E^{j+1} R^0>
+    ryd = up + 1  # position of |E^j R^1>
+    # probe in s=0 (from |G>, then |E^j>), probe in s=1, coupling laser
+    rows = np.concatenate([[0], up[:-1], ryd[:-1], ryd])
+    cols = np.concatenate([up, ryd[1:], up])
+    els = np.concatenate(
+        [
+            params.omega_p / 2.0 * np.sqrt((j0 + 1) * (n_atoms - j0)),
+            params.omega_p / 2.0 * np.sqrt((j1 + 1) * (n_atoms - j1 - 1)),
+            params.omega_c / 2.0 * np.sqrt(j0 + 1),
+        ]
+    )
+    h[rows, cols] = els
+    h[cols, rows] = els
+    return h
+
+
 def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
     """Hamiltonian over the 2N+1 symmetric Dicke states.
 
@@ -132,39 +153,17 @@ def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarr
     In the Dicke ordering every coupling lies within two places of the
     diagonal, so the matrix is pentadiagonal.
     """
-    n = spec.n_atoms
-    if n > N_MAX_DICKE:
-        raise CapacityError(f"Dicke basis for N={n} exceeds limit {N_MAX_DICKE}")
-    j, s = dicke_labels(n)
-    h = np.zeros((dicke_dimension(n),) * 2)
-    np.fill_diagonal(h, -j * params.delta_p - s * (params.delta_p + params.delta_c))
-    j0 = np.arange(n)
-    j1 = j0[:-1]
-    up = 2 * j0 + 1  # position of |E^{j+1} R^0>
-    ryd = up + 1  # position of |E^j R^1>
-    # probe in s=0 (from |G>, then |E^j>), probe in s=1, coupling laser
-    rows = np.concatenate([[0], up[:-1], ryd[:-1], ryd])
-    cols = np.concatenate([up, ryd[1:], up])
-    els = np.concatenate(
-        [
-            params.omega_p / 2.0 * np.sqrt((j0 + 1) * (n - j0)),
-            params.omega_p / 2.0 * np.sqrt((j1 + 1) * (n - j1 - 1)),
-            params.omega_c / 2.0 * np.sqrt(j0 + 1),
-        ]
-    )
-    h[rows, cols] = els
-    h[cols, rows] = els
-    return h
+    return _dicke_chain(params, spec.n_atoms, spec.n_atoms)
 
 
-def _dressed_blocks(
-    params: LaserParams, n: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _dressed_vectors(params: LaserParams, n: np.ndarray) -> np.ndarray:
     """Diagonalize the coupling-laser 2x2 blocks at excitation numbers n.
 
-    One batched eigh over the (len(n), 2, 2) stack.  Returns ascending
-    energies (len(n), 2) and eigenvectors (len(n), 2, 2) whose columns are
-    (minus, plus), each signed so that its |E^n> component is >= 0.
+    Block basis is (|E^n R^0>, |E^{n-1} R^1>) with diagonal
+    (-n*delta_p, -n*delta_p - delta_c) and off-diagonal sqrt(n)*Omega_c/2.
+    One batched eigh over the (len(n), 2, 2) stack.  Returns eigenvectors
+    (len(n), 2, 2) whose columns are (minus, plus) in ascending energy,
+    each signed so that its |E^n> component is >= 0.
     """
     off = np.sqrt(n) * params.omega_c / 2.0
     blocks = np.empty((len(n), 2, 2))
@@ -172,25 +171,9 @@ def _dressed_blocks(
     blocks[:, 0, 1] = off
     blocks[:, 1, 0] = off
     blocks[:, 1, 1] = -n * params.delta_p - params.delta_c
-    evals, evecs = np.linalg.eigh(blocks)
+    _, evecs = np.linalg.eigh(blocks)
     evecs *= np.where(evecs[:, :1, :] < 0, -1.0, 1.0)
-    return evals, evecs
-
-
-def dressed_block(params: LaserParams, n: int) -> tuple[DressedState, DressedState]:
-    """Diagonalize the coupling-laser 2x2 block at total excitation n.
-
-    Block basis is (|E^n R^0>, |E^{n-1} R^1>) with diagonal
-    (-n*delta_p, -n*delta_p - delta_c) and off-diagonal sqrt(n)*Omega_c/2.
-    Returns (plus, minus); "+" is the higher-energy branch.  The |E^n>
-    component of both is non-negative.
-    """
-    if n < 1:
-        raise ValueError("dressed blocks exist for n >= 1")
-    evals, evecs = _dressed_blocks(params, np.array([n]))
-    minus = DressedState(n, "-", float(evals[0, 0]), evecs[0, :, 0].copy())
-    plus = DressedState(n, "+", float(evals[0, 1]), evecs[0, :, 1].copy())
-    return plus, minus
+    return evecs
 
 
 def resonance_probe_detuning(omega_c: float, delta_c: float) -> float:
@@ -213,7 +196,7 @@ def dicke_to_dressed(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
     (n-1, 1) slot, which is the next position.
     """
     n = np.arange(1, spec.n_atoms + 1)
-    _, evecs = _dressed_blocks(params, n)
+    evecs = _dressed_vectors(params, n)
     a = 2 * n - 1  # position of |E^n R^0>
     u = np.zeros((dicke_dimension(spec.n_atoms),) * 2)
     u[0, 0] = 1.0
@@ -224,23 +207,19 @@ def dicke_to_dressed(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
     return u
 
 
-# Columns of dicke_to_dressed holding these states: |n+> sits at the
-# position of |E^n R^0> and |n-> at that of |E^(n-1) R^1>.
-RESTRICTED_LABELS = ("G", "1+", "1-", "2+", "3+", "3-")
+# Columns of dicke_to_dressed holding the restricted model's states
+# G, 1+, 1-, 2+, 3+, 3-: |n+> sits at the position of |E^n R^0> and |n->
+# at that of |E^(n-1) R^1>.
 RESTRICTED_POSITIONS = (0, 1, 2, 3, 5, 6)
 _TWO_PLUS = 3
 
 
-@dataclass(frozen=True)
-class RestrictedModel:
-    """Reduced Hamiltonian over a subset of dressed states.
-
-    dicke_columns maps reduced-space amplitudes back to the Dicke basis.
-    """
-
-    h: np.ndarray
-    labels: tuple
-    dicke_columns: np.ndarray  # (2N+1, len(labels))
+def _two_plus_in_dicke(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
+    """|2+> in the Dicke basis (N >= 2): column _TWO_PLUS of the dressed
+    frame."""
+    vec = np.zeros(dicke_dimension(spec.n_atoms))
+    vec[:5] = dicke_to_dressed(params, EnsembleSpec(2))[:, _TWO_PLUS]
+    return vec
 
 
 def _low_dressed_frame(
@@ -250,33 +229,31 @@ def _low_dressed_frame(
     min(7, 2N+1) Dicke positions.
 
     u is block-diagonal in n and its blocks do not depend on N, so this is
-    the leading block of the full dressed-frame Hamiltonian.  Only the
-    n = 1 and n = 3 states are one probe step from |G> or |2+>.
+    the leading block of the full dressed-frame Hamiltonian; H is built on
+    those positions only.  Only the n = 1 and n = 3 states are one probe
+    step from |G> or |2+>.
     """
-    u = dicke_to_dressed(params, EnsembleSpec(min(spec.n_atoms, 3)))
-    m = u.shape[0]
-    return u, u.T @ build_dicke_hamiltonian(params, spec)[:m, :m] @ u
+    n_max = min(spec.n_atoms, 3)
+    u = dicke_to_dressed(params, EnsembleSpec(n_max))
+    return u, u.T @ _dicke_chain(params, spec.n_atoms, n_max) @ u
 
 
 def build_restricted_hamiltonian(
     params: LaserParams, spec: EnsembleSpec
-) -> RestrictedModel:
-    """Dressed-basis Hamiltonian restricted to {G, 1+, 1-, 2+, 3+, 3-}.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(h, columns): the dressed-basis Hamiltonian restricted to
+    {G, 1+, 1-, 2+, 3+, 3-}, and the Dicke amplitudes (2N+1, 6) of those
+    states as columns.
 
     For N = 2 the n = 3 states are absent and are dropped.
     """
     if spec.n_atoms < 2:
         raise BasisError("restricted model needs N >= 2")
-    k = len(RESTRICTED_LABELS) if spec.n_atoms >= 3 else 4
-    cols = list(RESTRICTED_POSITIONS[:k])
     u, h = _low_dressed_frame(params, spec)
-    dicke_columns = np.zeros((dicke_dimension(spec.n_atoms), k))
-    dicke_columns[: u.shape[0]] = u[:, cols]
-    return RestrictedModel(
-        h=h[np.ix_(cols, cols)],
-        labels=RESTRICTED_LABELS[:k],
-        dicke_columns=dicke_columns,
-    )
+    cols = [k for k in RESTRICTED_POSITIONS if k < len(u)]
+    columns = np.zeros((dicke_dimension(spec.n_atoms), len(cols)))
+    columns[: len(u)] = u[:, cols]
+    return h[np.ix_(cols, cols)], columns
 
 
 def second_order_reduction(

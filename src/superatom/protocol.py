@@ -21,7 +21,6 @@ from .basis import (
     CapacityError,
     DickeIndex,
     EnsembleSpec,
-    dicke_dimension,
     dicke_labels,
     dicke_position,
     product_basis,
@@ -37,10 +36,10 @@ from .dynamics import (
 )
 from .hamiltonians import (
     LaserParams,
+    _two_plus_in_dicke,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
     build_restricted_hamiltonian,
-    dressed_block,
     resonance_probe_detuning,
     second_order_reduction,
     symmetric_block,
@@ -192,15 +191,6 @@ def _density_readout(times, spec, rhos, two_plus) -> Trajectory:
     )
 
 
-def _two_plus_in_dicke(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
-    """|2+> in the Dicke basis, from the n=2 dressed block alone."""
-    plus, _ = dressed_block(params, 2)
-    vec = np.zeros(dicke_dimension(spec.n_atoms))
-    vec[[dicke_position(spec, DickeIndex(2, 0)),
-         dicke_position(spec, DickeIndex(1, 1))]] = plus.composition
-    return vec
-
-
 def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
     """(H, columns mapping its amplitudes to Dicke amplitudes, or None when
     they already are Dicke amplitudes).  Every model holds |G> at position 0.
@@ -215,8 +205,8 @@ def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
     if model == "full":
         return symmetric_block(build_product_hamiltonian(params, spec), spec), None
     if model == "restricted6":
-        rm = build_restricted_hamiltonian(params, spec)
-        return rm.h, rm.dicke_columns.T
+        h, columns = build_restricted_hamiltonian(params, spec)
+        return h, columns.T
     # effective2: two-level model in the {|G>, |2+>} frame; residual detuning
     # from the difference between the configured delta_p and exact compensation
     d_resid = -2.0 * (params.delta_p - res.delta_p_resonance) + res.delta_eff
@@ -287,7 +277,6 @@ def _scan_row(x, cfg, model: str, n_times: int, **extra) -> ScanRow:
 
 @dataclass
 class ScanResult:
-    x_name: str
     rows: list[ScanRow]
     minimum: dict | None = None
 
@@ -339,10 +328,12 @@ def scan_delta_c(cfg: ProtocolConfig, ratios, model: str = "dicke") -> ScanResul
     k = min(defined, key=lambda i: ys[i])
     x_min, y_min = _parabolic_refine(xs, ys, k)
     return ScanResult(
-        "delta_c_over_omega_c",
-        rows,
-        minimum={"delta_c_over_omega_c": x_min, "infidelity": y_min},
+        rows, minimum={"delta_c_over_omega_c": x_min, "infidelity": y_min}
     )
+
+
+# Smallest atom number of a Poisson window: |2+> needs two atoms.
+POISSON_N_FLOOR = 2
 
 
 @dataclass(frozen=True)
@@ -354,14 +345,14 @@ class PoissonEnsemble:
     n_max: int
 
     @classmethod
-    def from_mean(cls, lam: float, half_width_sigmas: float = 6.0,
-                  n_floor: int = 2) -> "PoissonEnsemble":
+    def from_mean(cls, lam: float,
+                  half_width_sigmas: float = 6.0) -> "PoissonEnsemble":
         hw = half_width_sigmas * sqrt(lam)
         if lam + hw > N_MAX_DICKE:
             raise CapacityError(
                 f"Poisson window up to N={lam + hw:.6g} exceeds limit {N_MAX_DICKE}"
             )
-        return cls(lam, max(n_floor, int(np.floor(lam - hw))),
+        return cls(lam, max(POISSON_N_FLOOR, int(np.floor(lam - hw))),
                    int(np.ceil(lam + hw)))
 
     def weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -446,7 +437,7 @@ def scan_omega_c(
                   bound=10.0 * cfg.effective_rabi_target / wc)
         for wc, c in zip(omega_c_grid, pts)
     ]
-    return ScanResult("omega_c", rows)
+    return ScanResult(rows)
 
 
 @dataclass

@@ -721,6 +721,24 @@ class TestMainEntry:
         code = main(["rabi", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["existing_file", "file_as_parent"])
+    def test_unwritable_out_exit_code(self, tmp_path, capsys, under):
+        """An --out that is an existing file, or lies under one, cannot be
+        created: a configuration error on one line, as for an unreadable
+        --config, and the file is left as it was."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RABI_CFG)
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / "out" if under else taken
+        code = main(["rabi", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error: cannot write --out: ")
+        assert taken.read_text() == "keep\n"
+
     def test_value_error_in_a_run_is_not_a_config_error(self, tmp_path, capsys,
                                                         monkeypatch):
         """Only parse-time errors and BasisError refusals exit 2; any other

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -18,12 +19,16 @@ from superatom.basis import (
     symmetrizer,
 )
 from superatom.hamiltonians import (
+    _TWO_PLUS,
     LaserParams,
+    _dicke_chain,
+    _dressed_vectors,
+    _low_dressed_frame,
+    _two_plus_in_dicke,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
     build_restricted_hamiltonian,
     dicke_to_dressed,
-    dressed_block,
     resonance_probe_detuning,
     second_order_reduction,
     symmetric_block,
@@ -68,10 +73,13 @@ class TestHermiticity:
         assert np.allclose(h, h.T, atol=1e-12)
 
     def test_dicke_capacity(self):
-        """Refused before the (2N+1)^2 array is allocated."""
+        """Refused before the (2N+1)^2 array is allocated, and by the
+        reductions, which build only its corner."""
         params = LaserParams(1.0, 10.0, 0.0, 0.0)
         with pytest.raises(CapacityError, match=f"limit {N_MAX_DICKE}"):
             build_dicke_hamiltonian(params, EnsembleSpec(10**7))
+        with pytest.raises(CapacityError, match=f"limit {N_MAX_DICKE}"):
+            second_order_reduction(params, EnsembleSpec(N_MAX_DICKE + 1))
 
 
 class TestBasisEquivalence:
@@ -167,6 +175,18 @@ class TestSymmetricBlock:
             symmetric_block(self.product(3), EnsembleSpec(4))
 
 
+def dressed_pair(params, n):
+    """((E+, |n+>), (E-, |n->)) of block n from the dressed frame of N = n:
+    the diagonal of u^T H u without the probe, and the columns of
+    u = dicke_to_dressed on the block's positions (|E^n R^0>, |E^(n-1) R^1>)."""
+    spec = EnsembleSpec(n)
+    u = dicke_to_dressed(params, spec)
+    h0 = build_dicke_hamiltonian(params.replace(omega_p=0.0), spec)
+    energies = np.diag(u.T @ h0 @ u)
+    a = 2 * n - 1
+    return (energies[a], u[a:a + 2, a]), (energies[a + 1], u[a:a + 2, a + 1])
+
+
 class TestDressedStates:
     @settings(max_examples=40, deadline=None)
     @given(laser_params, st.integers(1, 6))
@@ -178,39 +198,38 @@ class TestDressedStates:
                  -n * params.delta_p - params.delta_c],
             ]
         )
-        plus, minus = dressed_block(params, n)
-        for st_ in (plus, minus):
-            assert np.allclose(
-                block @ st_.composition, st_.energy * st_.composition, atol=1e-8
-            )
-        assert plus.energy >= minus.energy
-        assert plus.composition[0] >= 0 and minus.composition[0] >= 0
+        plus, minus = dressed_pair(params, n)
+        for energy, vec in (plus, minus):
+            assert np.allclose(block @ vec, energy * vec, atol=1e-8)
+        assert plus[0] >= minus[0]
+        assert plus[1][0] >= 0 and minus[1][0] >= 0
 
     def test_energies_closed_form(self):
         params = LaserParams(0.0, 40.0, 3.0, -20.0)
+        _, h = _low_dressed_frame(params, EnsembleSpec(3))
         for n in (1, 2, 3):
-            plus, minus = dressed_block(params, n)
             root = np.sqrt(params.delta_c**2 / 4 + n * params.omega_c**2 / 4)
             base = -n * params.delta_p - params.delta_c / 2
-            assert plus.energy == pytest.approx(base + root)
-            assert minus.energy == pytest.approx(base - root)
+            assert h[2 * n - 1, 2 * n - 1] == pytest.approx(base + root)
+            assert h[2 * n, 2 * n] == pytest.approx(base - root)
 
     def test_resonance_zeroes_dressed_energy(self):
         omega_c, delta_c = 100.0, -37.0
         dp = resonance_probe_detuning(omega_c, delta_c)
         params = LaserParams(0.0, omega_c, dp, delta_c)
-        plus, _ = dressed_block(params, 2)
-        assert plus.energy == pytest.approx(0.0, abs=1e-10)
+        _, h = _low_dressed_frame(params, EnsembleSpec(2))
+        assert h[_TWO_PLUS, _TWO_PLUS] == pytest.approx(0.0, abs=1e-10)
 
     def test_two_plus_composition_at_canonical_point(self):
         # at delta_c = -omega_c/2: |2+> = (|E^2> + sqrt(2)|ER>)/sqrt(3)
         omega_c = 80.0
         dp = resonance_probe_detuning(omega_c, -omega_c / 2)
         params = LaserParams(0.0, omega_c, dp, -omega_c / 2)
-        plus, _ = dressed_block(params, 2)
-        assert np.allclose(
-            plus.composition, [1 / np.sqrt(3), np.sqrt(2 / 3)], atol=1e-12
-        )
+        spec = EnsembleSpec(4)
+        want = np.zeros(dicke_dimension(4))
+        want[dicke_position(spec, DickeIndex(2, 0))] = 1 / np.sqrt(3)
+        want[dicke_position(spec, DickeIndex(1, 1))] = np.sqrt(2 / 3)
+        assert np.allclose(_two_plus_in_dicke(params, spec), want, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(laser_params, st.integers(2, 6))
@@ -264,35 +283,33 @@ class TestEffectiveModel:
 
 
 class TestRestrictedModel:
-    def test_labels_and_dimension(self):
+    def test_dimensions(self):
         params = LaserParams(1.0, 50.0, 5.0, -25.0)
-        rm = build_restricted_hamiltonian(params, EnsembleSpec(4))
-        assert rm.labels == ("G", "1+", "1-", "2+", "3+", "3-")
-        assert rm.h.shape == (6, 6)
-        assert rm.dicke_columns.shape == (9, 6)
+        h, columns = build_restricted_hamiltonian(params, EnsembleSpec(4))
+        assert h.shape == (6, 6)
+        assert columns.shape == (9, 6)
 
     def test_n2_drops_triply_excited(self):
         params = LaserParams(1.0, 50.0, 5.0, -25.0)
-        rm = build_restricted_hamiltonian(params, EnsembleSpec(2))
-        assert rm.labels == ("G", "1+", "1-", "2+")
-        assert rm.h.shape == (4, 4)
+        h, columns = build_restricted_hamiltonian(params, EnsembleSpec(2))
+        assert h.shape == (4, 4)
+        assert columns.shape == (5, 4)
 
     def test_projection_of_full_hamiltonian(self):
         """The reduced block is exactly P H P in the dressed frame."""
         params = LaserParams(0.9, 70.0, 6.0, -35.0)
         spec = EnsembleSpec(5)
-        rm = build_restricted_hamiltonian(params, spec)
+        h, columns = build_restricted_hamiltonian(params, spec)
         hd = build_dicke_hamiltonian(params, spec)
-        want = rm.dicke_columns.T @ hd @ rm.dicke_columns
-        assert np.allclose(rm.h, want, atol=1e-12)
+        assert np.allclose(h, columns.T @ hd @ columns, atol=1e-12)
 
 
 class TestJaynesCummingsView:
     def test_vacuum_rabi_splitting(self):
         # j=0, s-sector pair |R>,|E>: coupling sqrt(1)*omega_c/2
         params = LaserParams(0.0, 24.0, 0.0, 0.0)
-        plus, minus = dressed_block(params, 1)
-        assert plus.energy - minus.energy == pytest.approx(params.omega_c)
+        plus, minus = dressed_pair(params, 1)
+        assert plus[0] - minus[0] == pytest.approx(params.omega_c)
 
 
 # The per-label loops that the array builds replaced, kept as references.
@@ -377,11 +394,8 @@ class TestArrayBuildsMatchLoops:
     @settings(max_examples=30, deadline=None)
     @given(laser_params, st.integers(1, 12))
     def test_dressed_block(self, params, n):
-        evals, evecs = reference_dressed_block(params, n)
-        plus, minus = dressed_block(params, n)
-        assert (minus.energy, plus.energy) == (evals[0], evals[1])
-        assert np.array_equal(minus.composition, evecs[:, 0])
-        assert np.array_equal(plus.composition, evecs[:, 1])
+        _, evecs = reference_dressed_block(params, n)
+        assert np.array_equal(_dressed_vectors(params, np.array([n]))[0], evecs)
 
     @settings(max_examples=30, deadline=None)
     @given(laser_params, st.integers(1, 12))
@@ -471,8 +485,42 @@ class TestLowFrameMatchesFullFrame:
     @example((LaserParams(1.5, 90.0, 45.0, -45.0), EnsembleSpec(3)))
     def test_restricted_hamiltonian(self, point):
         params, spec = point
-        labels, h, cols = reference_build_restricted_hamiltonian(params, spec)
-        rm = build_restricted_hamiltonian(params, spec)
-        assert rm.labels == labels
-        assert np.array_equal(rm.h, h)
-        assert np.array_equal(rm.dicke_columns, cols)
+        _, want_h, want_columns = reference_build_restricted_hamiltonian(
+            params, spec)
+        h, columns = build_restricted_hamiltonian(params, spec)
+        assert np.array_equal(h, want_h)
+        assert np.array_equal(columns, want_columns)
+
+
+class TestDickeCorner:
+    """The reductions build only the n <= 3 corner of the Dicke chain."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 50, 2000])
+    @pytest.mark.parametrize(
+        "params", [LaserParams(1.3, 7.9, 0.6, -2.7), LaserParams(1, 2, 0, 0)]
+    )
+    def test_corner_is_the_leading_block(self, params, n):
+        m = dicke_dimension(min(n, 3))
+        assert np.array_equal(
+            _dicke_chain(params, n, min(n, 3)),
+            build_dicke_hamiltonian(params, EnsembleSpec(n))[:m, :m],
+        )
+
+    @pytest.mark.parametrize(
+        "reduce", [second_order_reduction, build_restricted_hamiltonian]
+    )
+    def test_reduction_memory_at_the_dicke_limit(self, reduce):
+        """At N = N_MAX_DICKE = 2000 no reduction allocates the 128 MB
+        (2N+1)^2 Dicke H."""
+        omega_c = 90.0
+        dp = resonance_probe_detuning(omega_c, -omega_c / 2)
+        params = LaserParams(1.5, omega_c, dp, -omega_c / 2)
+        spec = EnsembleSpec(N_MAX_DICKE)
+        reduce(params, spec)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            reduce(params, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
