@@ -2,8 +2,9 @@
 # Check that the working tree writes the same outputs as revision REV.
 # Both trees run this checkout's scripts/run_all.sh, and the benchmark's
 # configs that this checkout's benchmarks/workloads.py makes: sweep at
-# seeds 0-3, trajectory at 0-2 and ion_mc at 0.  The two result
-# directories are then diffed, ignoring the timestamp in summary.json.
+# seeds 0-3, trajectory at 0-2, and lindblad and ion_mc at 0.  The two
+# result directories are then diffed, ignoring the timestamp in
+# summary.json.
 # Prints nothing (exit 0) when every CSV is byte-identical and every
 # summary.json differs only in its timestamp.  REV is unpacked with
 # `git archive`; temporary files go under $TMPDIR (default /tmp).
@@ -29,7 +30,8 @@ from workloads import make_workload
 
 out = Path(sys.argv[2])
 out.mkdir()
-for workload, seeds in (("sweep", 4), ("trajectory", 3), ("ion_mc", 1)):
+for workload, seeds in (("sweep", 4), ("trajectory", 3), ("lindblad", 1),
+                       ("ion_mc", 1)):
     for seed in range(seeds):
         for exp in make_workload(workload, seed):
             name = f"{workload}_s{seed}_{exp.label}"

@@ -3,9 +3,9 @@
 Usage: superatom-sim <experiment> --config FILE --out DIR
 
 Every experiment runs in the calling process and returns its table and
-summary; only then is DIR created and both files written, so a run that
-exits non-zero writes nothing.  --workers is accepted only as 1, for
-compatibility with older command lines.
+summary; only then is DIR created and both files written, each first under
+a temporary name, so a run that exits non-zero writes nothing.  --workers
+is accepted only as 1, for compatibility with older command lines.
 
 Exit codes: 0 success, 2 configuration error (refused while parsing, a
 BasisError refusal such as a probe too weak for a finite pi-pulse, or a
@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -142,7 +143,7 @@ def _run_scan_dc(rc):
         ["delta_c_over_omega_c", "success", "infidelity"],
         [(r.x, r.success, r.infidelity) for r in scan.rows],
         {**_resolved_dict(resolve_protocol(cfg)), "model": model},
-        {"minimum": scan.minimum},
+        scan.summary,
     )
 
 
@@ -153,27 +154,12 @@ def _run_scan_oc(rc):
         v["omega_c_min_mhz"], v["omega_c_max_mhz"], v["n_points"]
     )
     scan = scan_omega_c(cfg, grid, model=model)
-    for r in scan.rows:
-        if r.infidelity is None or r.infidelity <= 0:
-            value = "undefined" if r.infidelity is None else f"{r.infidelity:.12g}"
-            raise NumericalFailure(
-                f"infidelity {value} at omega_c = {r.x / TWO_PI:.12g} MHz; "
-                "the log-log fit needs a positive infidelity at every point"
-            )
-    xs = np.log([r.x for r in scan.rows])
-    ys = np.log([r.infidelity for r in scan.rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
     return (
         "scan.csv",
         ["omega_c_mhz", "success", "infidelity", "bound"],
         [(r.x / TWO_PI, r.success, r.infidelity, r.extra["bound"]) for r in scan.rows],
         {**_resolved_dict(resolve_protocol(cfg)), "model": model},
-        {
-            "log_log_slope": slope,
-            "bound_satisfied": bool(
-                all(r.infidelity <= r.extra["bound"] for r in scan.rows)
-            ),
-        },
+        scan.summary,
     )
 
 
@@ -184,11 +170,10 @@ def _run_scan_n(rc):
         v["poisson_mean"], half_width_sigmas=v["half_width_sigmas"]
     )
     avg = poisson_average(cfg, ensemble, model=model)
-    _, ws = ensemble.weights()
     return (
         "scan.csv",
         ["n_atoms", "weight", "success", "infidelity"],
-        [(r.x, w, r.success, r.infidelity) for r, w in zip(avg.per_n, ws)],
+        [(r.x, w, r.success, r.infidelity) for r, w in zip(avg.per_n, avg.weights)],
         {**_resolved_dict(resolve_protocol(cfg)), "model": model},
         {
             "mean_success": avg.mean_success,
@@ -304,10 +289,18 @@ def main(argv=None) -> int:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         rc = parse_config(text, args.experiment)
         name, header, table, resolved, results = _RUNNERS[args.experiment](rc)
-        try:
+        try:  # both files are written under temporary names, then renamed
             args.out.mkdir(parents=True, exist_ok=True)
-            write_csv(args.out / name, header, table)
-            write_summary(args.out / "summary.json", rc, resolved, results)
+            with tempfile.TemporaryDirectory(prefix=".partial-", dir=args.out) as tmp:
+                csv, summary = Path(tmp, name), Path(tmp, "summary.json")
+                write_csv(csv, header, table)
+                write_summary(summary, rc, resolved, results)
+                csv = csv.replace(args.out / name)
+                try:
+                    summary.replace(args.out / "summary.json")
+                except OSError:
+                    csv.unlink()  # both files or neither
+                    raise
         except OSError as exc:
             raise ConfigError(f"cannot write --out: {exc}") from exc
     except (ConfigError, BasisError) as exc:

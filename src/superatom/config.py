@@ -28,7 +28,6 @@ from .protocol import (
     AUTO_DELTA_P,
     MODELS,
     POISSON_N_FLOOR,
-    SCAN_N_TIMES,
     PoissonEnsemble,
     ProtocolConfig,
     resolve_protocol,
@@ -251,16 +250,9 @@ _FITTED_RANGES = {
 }
 
 
-# (duration key T, n) of the runs that write their states at the output
-# times linspace(0, T, n)[1:]; n is the n_times value where None.  A
-# subnormal T can round those times together.  The 3-point grids of scan-n
-# and lindblad-scan resolve every T > 0.
-_TIME_GRIDS = {
-    "rabi": ("pulse_time_us", None),
-    "jc-demo": ("total_time_us", None),
-    "scan-dc": ("pulse_time_us", SCAN_N_TIMES),
-    "scan-oc": ("pulse_time_us", SCAN_N_TIMES),
-}
+# Duration key T of the runs that write states at linspace(0, T, n_times)[1:],
+# which a subnormal T rounds together; a scan point has only its pulse end.
+_TIME_GRIDS = {"rabi": "pulse_time_us", "jc-demo": "total_time_us"}
 
 
 @dataclass
@@ -332,9 +324,9 @@ def parse_config(text: str, experiment: str) -> RunConfig:
             raise ConfigError(
                 f"{lo!r} equals {hi!r}; the scan's line fit needs distinct grid values"
             )
-    key, n = _TIME_GRIDS.get(experiment, (None, None))
+    key = _TIME_GRIDS.get(experiment)
     if key in values:
-        n = n or values["n_times"]
+        n = values["n_times"]
         if not np.all(np.diff(np.linspace(0.0, values[key], n)[1:]) > 0):
             raise ConfigError(
                 f"line {lines[key]}: invalid value for {key!r}: "

@@ -35,6 +35,7 @@ from .dynamics import (
     propagate_pure,
 )
 from .hamiltonians import (
+    TWO_PI,
     LaserParams,
     _two_plus_in_dicke,
     build_dicke_hamiltonian,
@@ -46,7 +47,6 @@ from .hamiltonians import (
 )
 
 MODELS = ("full", "dicke", "restricted6", "effective2", "lindblad")
-SCAN_N_TIMES = 41  # time grid of each scan-dc and scan-oc point
 NO_HERALD_EPS = 1e-12  # Rydberg population at or below which no ion is heralded
 
 
@@ -269,16 +269,16 @@ class ScanRow:
     extra: dict = field(default_factory=dict)
 
 
-def _scan_row(x, cfg, model: str, n_times: int, **extra) -> ScanRow:
-    """Run one scan point and keep its herald numbers."""
-    res = run_protocol(cfg, model, n_times)
+def _scan_row(x, cfg, model: str, **extra) -> ScanRow:
+    """Run one scan point to its pulse end, its only output time."""
+    res = run_protocol(cfg, model, n_times=2)
     return ScanRow(float(x), res.success_probability, res.infidelity, extra)
 
 
 @dataclass
 class ScanResult:
     rows: list[ScanRow]
-    minimum: dict | None = None
+    summary: dict  # the scalar results over the grid
 
 
 def _parabolic_refine(xs, ys, k):
@@ -319,7 +319,7 @@ def scan_delta_c(cfg: ProtocolConfig, ratios, model: str = "dicke") -> ScanResul
         )
         for r in ratios
     ]
-    rows = [_scan_row(r, c, model, SCAN_N_TIMES) for r, c in zip(ratios, pts)]
+    rows = [_scan_row(r, c, model) for r, c in zip(ratios, pts)]
     xs = [row.x for row in rows]
     ys = [row.infidelity for row in rows]
     defined = [i for i, y in enumerate(ys) if y is not None]
@@ -328,7 +328,7 @@ def scan_delta_c(cfg: ProtocolConfig, ratios, model: str = "dicke") -> ScanResul
     k = min(defined, key=lambda i: ys[i])
     x_min, y_min = _parabolic_refine(xs, ys, k)
     return ScanResult(
-        rows, minimum={"delta_c_over_omega_c": x_min, "infidelity": y_min}
+        rows, {"minimum": {"delta_c_over_omega_c": x_min, "infidelity": y_min}}
     )
 
 
@@ -371,6 +371,7 @@ class PoissonAverageResult:
     mean_infidelity: float  # herald-weighted
     unconditional_mean_infidelity: float
     per_n: list[ScanRow]
+    weights: np.ndarray  # p(N) of each per_n row
     fixed_n: ScanRow
 
 
@@ -402,7 +403,7 @@ def poisson_average(
             replace(ref, spec=EnsembleSpec(int(n)), omega_eff=nan, delta_eff=nan)
             for n in ns
         ]
-    per_n = [_scan_row(n, c, model, 3) for n, c in zip(ns, pts)]
+    per_n = [_scan_row(n, c, model) for n, c in zip(ns, pts)]
     if all(r.infidelity is None for r in per_n):
         raise NumericalFailure(
             f"infidelity undefined at every atom number N = {ns[0]}..{ns[-1]}"
@@ -414,13 +415,14 @@ def poisson_average(
     mean_infid = float((herald_w * infid).sum() / herald_w.sum())
     uncond = float((ws * infid).sum())
     fixed = next(r for r in per_n if int(r.x) == lam)
-    return PoissonAverageResult(mean_success, mean_infid, uncond, per_n, fixed)
+    return PoissonAverageResult(mean_success, mean_infid, uncond, per_n, ws, fixed)
 
 
 def scan_omega_c(
     cfg: ProtocolConfig, omega_c_grid, model: str = "dicke"
 ) -> ScanResult:
-    """Sweep omega_c at fixed effective Rabi target; includes the 10*w_eff/w_c bound."""
+    """Sweep omega_c at fixed effective Rabi target; summarizes the log-log
+    slope and whether every point is within its 10*w_eff/w_c bound."""
     if cfg.effective_rabi_target is None:
         raise ValueError("scan_omega_c requires an effective_rabi_target")
     pts = [
@@ -433,11 +435,22 @@ def scan_omega_c(
         for wc in omega_c_grid
     ]
     rows = [
-        _scan_row(wc, c, model, SCAN_N_TIMES,
-                  bound=10.0 * cfg.effective_rabi_target / wc)
+        _scan_row(wc, c, model, bound=10.0 * cfg.effective_rabi_target / wc)
         for wc, c in zip(omega_c_grid, pts)
     ]
-    return ScanResult(rows)
+    for r in rows:
+        if r.infidelity is None or r.infidelity <= 0:
+            value = "undefined" if r.infidelity is None else f"{r.infidelity:.12g}"
+            raise NumericalFailure(
+                f"infidelity {value} at omega_c = {r.x / TWO_PI:.12g} MHz; "
+                "the log-log fit needs a positive infidelity at every point"
+            )
+    xs = np.log([r.x for r in rows])
+    ys = np.log([r.infidelity for r in rows])
+    return ScanResult(rows, {
+        "log_log_slope": float(np.polyfit(xs, ys, 1)[0]),
+        "bound_satisfied": all(r.infidelity <= r.extra["bound"] for r in rows),
+    })
 
 
 @dataclass
@@ -451,10 +464,9 @@ class DecoherenceScanResult:
     slope_per_decay: float  # d(infidelity)/d(Gamma * int <n> dt), dimensionless
 
 
-def _integrated_level_population(cfg: ProtocolConfig, which: str) -> float:
+def _integrated_level_population(res: ResolvedProtocol, which: str) -> float:
     """Time integral of <n_e> (gamma_e) or <n_r> (gamma_r, gamma_d) over the
     coherent pulse; Gamma times this is the expected number of decay events."""
-    res = resolve_protocol(replace(cfg, rates=DecoherenceRates()))
     h = build_dicke_hamiltonian(res.params, res.spec)
     times = np.linspace(0.0, res.pulse_time, 201)[1:]
     psi0 = np.zeros(h.shape[0], dtype=complex)
@@ -474,10 +486,9 @@ def scan_decoherence(cfg: ProtocolConfig, which: str, grid) -> DecoherenceScanRe
     """
     if which not in ("gamma_e", "gamma_r", "gamma_d"):
         raise ValueError(f"unknown decoherence channel {which!r}")
-    pts = [
-        replace(cfg, rates=DecoherenceRates(**{which: float(g)})) for g in grid
-    ]
-    rows = [_scan_row(g, c, "lindblad", 3) for g, c in zip(grid, pts)]
+    res = resolve_protocol(cfg)  # the rates do not enter the resolution
+    pts = [replace(res, rates=DecoherenceRates(**{which: float(g)})) for g in grid]
+    rows = [_scan_row(g, c, "lindblad") for g, c in zip(grid, pts)]
     for r in rows:
         if r.infidelity is None:
             raise NumericalFailure(
@@ -491,7 +502,7 @@ def scan_decoherence(cfg: ProtocolConfig, which: str, grid) -> DecoherenceScanRe
     ss_res = float(((ys - pred) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    integ = _integrated_level_population(cfg, which)
+    integ = _integrated_level_population(res, which)
     return DecoherenceScanResult(
         which, rows, float(slope), float(intercept), r2, integ,
         float(slope) / integ,

@@ -126,7 +126,7 @@ def test_criterion_3_coupling_detuning_scan():
     +- 0.1; success 2/3 +- 0.05 there; success >= 0.85 at ratio -2."""
     cfg = canonical(3, 20.0)
     scan = scan_delta_c(cfg, np.linspace(-2.2, -0.3, 39))
-    x_min = scan.minimum["delta_c_over_omega_c"]
+    x_min = scan.summary["minimum"]["delta_c_over_omega_c"]
     at_half = min(scan.rows, key=lambda r: abs(r.x + 0.5))
     at_two = min(scan.rows, key=lambda r: abs(r.x + 2.0))
     checks = [
@@ -169,7 +169,7 @@ def test_criterion_5_coupling_strength_scan():
         scan = scan_omega_c(canonical(n, 20.0), TWO_PI * grid_mhz)
         infid = np.array([r.infidelity for r in scan.rows])
         bound = np.array([r.extra["bound"] for r in scan.rows])
-        slope = float(np.polyfit(np.log(grid_mhz), np.log(infid), 1)[0])
+        slope = scan.summary["log_log_slope"]
         below_1pct = bool(np.all(infid[grid_mhz >= 100.0] < 0.01))
         bounded = bool(np.all(infid <= bound))
         checks += [abs(slope + 1.0) <= 0.15, below_1pct, bounded]

@@ -492,11 +492,19 @@ class TestMainEntry:
                 "infidelity undefined at every atom number",
                 id="scan-n",
             ),
+            pytest.param(
+                "scan-dc",
+                SCAN_DC_CFG + "pulse_time_us = 5e-324\n",
+                "infidelity undefined at every scan point",
+                id="scan-dc-pulse",
+            ),
         ],
     )
     def test_undefined_infidelity_exit_code(self, tmp_path, capsys, experiment,
                                             text, message):
-        """A fit or average over points without a defined infidelity exits 4."""
+        """A fit, minimum or average over points without a defined infidelity
+        exits 4.  A scan point's only output time is its pulse end, so even
+        a subnormal pulse_time_us parses and runs: no ion is heralded."""
         code, _ = run_cli(tmp_path, experiment, text, extra=["--workers", "1"])
         assert code == 4
         err = capsys.readouterr().err.splitlines()
@@ -573,7 +581,6 @@ class TestMainEntry:
     @pytest.mark.parametrize("experiment,text,key", [
         ("ion-mc", "n_trajectories = 1\ntime_step_ns = 0.11\n", "time_step_ns"),
         ("rabi", RABI_CFG + "pulse_time_us = 5e-324\n", "pulse_time_us"),
-        ("scan-dc", SCAN_DC_CFG + "pulse_time_us = 5e-324\n", "pulse_time_us"),
         ("jc-demo", "n_atoms = 3\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
          "probe_pulse_time_us = 0.2\ntotal_time_us = 5e-324\n", "total_time_us"),
         ("rabi", RABI_CFG.replace("omega_c_mhz = 10", "omega_c_mhz = 1e300"),
@@ -600,7 +607,7 @@ class TestMainEntry:
          "differential_polarizability_si"),
         ("ion-mc", "n_trajectories = 1\ntrap_volume_um3 = 1e60\n", "trap_volume_um3"),
         ("ion-mc", "n_trajectories = 1\ntrap_diameter_um = 1e12\n", "trap_diameter_um"),
-    ], ids=["ion-step", "rabi-pulse", "scan-dc-pulse", "jc-total-time",
+    ], ids=["ion-step", "rabi-pulse", "jc-total-time",
             "rabi-omega-c", "rabi-delta-c", "scan-dc-omega-c", "ion-softening",
             "ion-field", "ion-ramp-time", "ion-step-count", "ion-default-horizon",
             "ion-mass-underflow", "ion-mass-below-proton", "lindblad-gamma-subnormal",
@@ -738,6 +745,23 @@ class TestMainEntry:
         assert len(err) == 1
         assert err[0].startswith("configuration error: cannot write --out: ")
         assert taken.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("taken", ["summary.json", "trajectory.csv"])
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, taken):
+        """When one of the two files cannot be written (its name is an
+        existing directory), the run exits 2 and leaves no file of its own
+        in --out, not even the one that could be written."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RABI_CFG)
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        code = main(["rabi", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error: cannot write --out: ")
+        assert [p.name for p in out.iterdir()] == [taken]
+        assert not any((out / taken).iterdir())
 
     def test_value_error_in_a_run_is_not_a_config_error(self, tmp_path, capsys,
                                                         monkeypatch):

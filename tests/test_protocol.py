@@ -8,7 +8,7 @@ import pytest
 from oracles import effective_two_level, enumerate_dicke
 from superatom import cli, protocol
 from superatom.basis import EnsembleSpec, symmetrizer
-from superatom.dynamics import DecoherenceRates, propagate_pure
+from superatom.dynamics import DecoherenceRates, NumericalFailure, propagate_pure
 from superatom.hamiltonians import (
     TWO_PI,
     LaserParams,
@@ -241,6 +241,19 @@ class TestRunProtocol:
 
 
 class TestScans:
+    @staticmethod
+    def canned(monkeypatch, infids):
+        """Make each run_protocol call return the next infidelity."""
+        results = iter(
+            protocol.ProtocolResult(
+                success_probability=0.5, infidelity=y, trajectory=None,
+                resolved=None,
+            )
+            for y in infids
+        )
+        monkeypatch.setattr(protocol, "run_protocol",
+                            lambda cfg, model, n_times: next(results))
+
     def test_scan_requires_target(self):
         omega_c = TWO_PI * 20.0
         cfg = ProtocolConfig(
@@ -255,28 +268,19 @@ class TestScans:
     def test_scan_delta_c_minimum_in_basin(self):
         cfg = canonical_config()
         scan = scan_delta_c(cfg, np.linspace(-1.4, -0.35, 16))
-        assert -1.1 < scan.minimum["delta_c_over_omega_c"] < -0.45
+        assert -1.1 < scan.summary["minimum"]["delta_c_over_omega_c"] < -0.45
         row_half = min(scan.rows, key=lambda r: abs(r.x + 0.5))
         assert row_half.success == pytest.approx(2 / 3, abs=0.05)
 
     def test_scan_delta_c_skips_undefined_points(self, monkeypatch):
         """The minimum is taken over defined points; an undefined neighbour
         stops the parabolic refinement at the grid point."""
-        infids = [None, 0.3, 0.1, None, 0.05, 0.2]
-
-        results = iter(
-            protocol.ProtocolResult(
-                success_probability=0.5, infidelity=y, trajectory=None,
-                resolved=None,
-            )
-            for y in infids
-        )
-        monkeypatch.setattr(protocol, "run_protocol",
-                            lambda cfg, model, n_times: next(results))
+        self.canned(monkeypatch, [None, 0.3, 0.1, None, 0.05, 0.2])
         grid = np.linspace(-1.0, -0.5, 6)
         scan = scan_delta_c(canonical_config(), grid)
-        assert scan.minimum["delta_c_over_omega_c"] == pytest.approx(grid[4])
-        assert scan.minimum["infidelity"] == 0.05
+        minimum = scan.summary["minimum"]
+        assert minimum["delta_c_over_omega_c"] == pytest.approx(grid[4])
+        assert minimum["infidelity"] == 0.05
 
     def test_scan_omega_c_monotone_trend(self):
         cfg = canonical_config()
@@ -287,6 +291,67 @@ class TestScans:
         assert scan.rows[0].extra["bound"] == pytest.approx(
             10 * cfg.effective_rabi_target / grid[0]
         )
+
+    @pytest.mark.parametrize("infids,within", [
+        ([0.04, 0.01, 0.005], True),
+        ([0.04, 0.02, 0.005], False),
+    ])
+    def test_scan_omega_c_summary_from_its_rows(self, monkeypatch, infids, within):
+        """The slope is the log-log line fit over the scan's own rows, and
+        bound_satisfied holds when every row lies within its bound (here
+        0.05, 0.0167 and 0.0056)."""
+        self.canned(monkeypatch, infids)
+        scan = scan_omega_c(canonical_config(), TWO_PI * np.array([20.0, 60.0, 180.0]))
+        xs = np.log([r.x for r in scan.rows])
+        ys = np.log([r.infidelity for r in scan.rows])
+        assert scan.summary["log_log_slope"] == float(np.polyfit(xs, ys, 1)[0])
+        assert scan.summary["bound_satisfied"] is within
+        assert within == all(r.infidelity <= r.extra["bound"] for r in scan.rows)
+
+    @pytest.mark.parametrize("bad,value", [(None, "undefined"), (0.0, "0")])
+    def test_scan_omega_c_fit_needs_positive_infidelity(self, monkeypatch, bad,
+                                                        value):
+        self.canned(monkeypatch, [0.04, bad, 0.005])
+        with pytest.raises(NumericalFailure,
+                           match=f"infidelity {value} at omega_c = 60 MHz"):
+            scan_omega_c(canonical_config(), TWO_PI * np.array([20.0, 60.0, 180.0]))
+
+    @pytest.mark.parametrize("scan", ["delta_c", "omega_c", "poisson", "decoherence"])
+    def test_each_point_propagates_only_its_pulse_end(self, monkeypatch, scan):
+        """Every scan reads a point at its pulse end only, so each point asks
+        its propagator (propagate_pure, or evolve_lindblad for the
+        decoherence scan) for exactly that one time: the pulse time of the
+        latest resolution."""
+        pulses, asked = [], []
+        real_resolve = protocol.resolve_protocol
+
+        def resolve(cfg):
+            res = real_resolve(cfg)
+            pulses.append(res.pulse_time)
+            return res
+
+        name = "evolve_lindblad" if scan == "decoherence" else "propagate_pure"
+        real_propagate = getattr(protocol, name)
+
+        def propagate(*args):
+            asked.append((np.asarray(args[-1], dtype=float).tolist(), pulses[-1]))
+            return real_propagate(*args)
+
+        monkeypatch.setattr(protocol, "resolve_protocol", resolve)
+        monkeypatch.setattr(protocol, name, propagate)
+        if scan == "delta_c":
+            n_points = len(scan_delta_c(canonical_config(), [-1.0, -0.75, -0.5]).rows)
+        elif scan == "omega_c":
+            n_points = len(scan_omega_c(canonical_config(),
+                                        TWO_PI * np.array([20.0, 60.0])).rows)
+        elif scan == "poisson":
+            cfg = canonical_config(n_atoms=30, omega_c_mhz=50.0)
+            n_points = len(poisson_average(cfg, PoissonEnsemble.from_mean(30.0)).per_n)
+        else:
+            cfg = canonical_config(n_atoms=2, pulse_time=0.5)
+            n_points = len(scan_decoherence(cfg, "gamma_e", [0.0, TWO_PI * 0.01]).rows)
+        assert len(asked) == n_points
+        assert all(times == [pulse] for times, pulse in asked)
 
     def test_scan_decoherence_unitary_limit(self):
         cfg = canonical_config(n_atoms=3, omega_c_mhz=100.0)
@@ -338,7 +403,9 @@ class TestPoisson:
         assert avg.fixed_n.x == 30
         # herald weighting reweights by success, so the two means differ
         assert avg.mean_infidelity != avg.unconditional_mean_infidelity
-        assert len(avg.per_n) == len(PoissonEnsemble.from_mean(30.0).weights()[0])
+        ns, ws = PoissonEnsemble.from_mean(30.0).weights()
+        assert [r.x for r in avg.per_n] == ns.tolist()
+        assert avg.weights.tolist() == ws.tolist()
 
     def test_truncation_window_insensitive(self):
         cfg = canonical_config(n_atoms=30, omega_c_mhz=50.0)
