@@ -67,12 +67,13 @@ def _round12(obj):
 
 def write_csv(path: Path, header: list[str], table) -> None:
     """The header line, then each row with every cell as %.12g; an undefined
-    cell (None or NaN) is written empty."""
+    cell (None or NaN) is written empty.  The whole table is formatted by
+    one % over its cells in row order."""
     table = np.asarray(table, dtype=float)
-    row = ",".join(["%.12g"] * len(header)) + "\n"
+    rows = (",".join(["%.12g"] * len(header)) + "\n") * len(table)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines((row % tuple(r)).replace("nan", "") for r in table.tolist())
+        fh.write((rows % tuple(table.ravel().tolist())).replace("nan", ""))
 
 
 def _trajectory_table(traj: Trajectory):

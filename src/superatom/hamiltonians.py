@@ -156,14 +156,16 @@ def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarr
     return _dicke_chain(params, spec.n_atoms, spec.n_atoms)
 
 
-def _dressed_vectors(params: LaserParams, n: np.ndarray) -> np.ndarray:
+def _dressed_vectors(
+    params: LaserParams, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize the coupling-laser 2x2 blocks at excitation numbers n.
 
     Block basis is (|E^n R^0>, |E^{n-1} R^1>) with diagonal
     (-n*delta_p, -n*delta_p - delta_c) and off-diagonal sqrt(n)*Omega_c/2.
-    One batched eigh over the (len(n), 2, 2) stack.  Returns eigenvectors
-    (len(n), 2, 2) whose columns are (minus, plus) in ascending energy,
-    each signed so that its |E^n> component is >= 0.
+    One batched eigh over the (len(n), 2, 2) stack.  Returns the energies
+    (len(n), 2) and eigenvectors (len(n), 2, 2), columns (minus, plus) in
+    ascending energy, each vector signed so that its |E^n> component is >= 0.
     """
     off = np.sqrt(n) * params.omega_c / 2.0
     blocks = np.empty((len(n), 2, 2))
@@ -171,9 +173,9 @@ def _dressed_vectors(params: LaserParams, n: np.ndarray) -> np.ndarray:
     blocks[:, 0, 1] = off
     blocks[:, 1, 0] = off
     blocks[:, 1, 1] = -n * params.delta_p - params.delta_c
-    _, evecs = np.linalg.eigh(blocks)
+    energies, evecs = np.linalg.eigh(blocks)
     evecs *= np.where(evecs[:, :1, :] < 0, -1.0, 1.0)
-    return evecs
+    return energies, evecs
 
 
 def resonance_probe_detuning(omega_c: float, delta_c: float) -> float:
@@ -196,7 +198,7 @@ def dicke_to_dressed(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
     (n-1, 1) slot, which is the next position.
     """
     n = np.arange(1, spec.n_atoms + 1)
-    evecs = _dressed_vectors(params, n)
+    _, evecs = _dressed_vectors(params, n)
     a = 2 * n - 1  # position of |E^n R^0>
     u = np.zeros((dicke_dimension(spec.n_atoms),) * 2)
     u[0, 0] = 1.0

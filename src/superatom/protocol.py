@@ -27,6 +27,7 @@ from .basis import (
     symmetrizer,
 )
 from .dynamics import (
+    NORM_TOL,
     DecoherenceRates,
     NumericalFailure,
     Trajectory,
@@ -37,6 +38,7 @@ from .dynamics import (
 from .hamiltonians import (
     TWO_PI,
     LaserParams,
+    _dressed_vectors,
     _two_plus_in_dicke,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
@@ -137,17 +139,13 @@ def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
 AUTO_DELTA_P = float("nan")
 
 
-def herald_infidelity(p_ryd: np.ndarray, p_er: np.ndarray) -> np.ndarray:
-    """False-herald fraction: the share of the Rydberg population outside
-    |ER>, elementwise; NaN (undefined) where p_ryd <= NO_HERALD_EPS."""
-    return np.divide(p_ryd - p_er, p_ryd, out=np.full(p_ryd.shape, nan),
-                     where=p_ryd > NO_HERALD_EPS)
-
-
 def _herald_trajectory(times, spec, pops, p_ryd, p_2plus) -> Trajectory:
     """The readout every model shares, from Dicke populations (T, 2N+1), the
-    total Rydberg population (T,) and the |2+> population (T,), with the
-    false-herald fraction of every time as the column "infidelity"."""
+    total Rydberg population (T,) and the |2+> population (T,).
+
+    The column "infidelity" is the false-herald fraction of every time: the
+    share of the Rydberg population outside |ER>, NaN (undefined) where
+    p_ryd <= NO_HERALD_EPS."""
 
     def pop(j, s):
         return pops[:, dicke_position(spec, DickeIndex(j, s))]
@@ -161,7 +159,8 @@ def _herald_trajectory(times, spec, pops, p_ryd, p_2plus) -> Trajectory:
         "p_ER": p_er,
         "p_ryd": p_ryd,
         "p_2plus": p_2plus,
-        "infidelity": herald_infidelity(p_ryd, p_er),
+        "infidelity": np.divide(p_ryd - p_er, p_ryd, out=np.full(p_ryd.shape, nan),
+                                where=p_ryd > NO_HERALD_EPS),
     })
 
 
@@ -521,6 +520,13 @@ def collapse_revival_demo(
     |E^j> ladder from |G>; stage 2 (probe off) evolves it under the
     coupling laser, producing collapse and revival of the Rydberg
     population at the sqrt(j)-spread of block Rabi frequencies.
+
+    Stage 2 has no probe, so its H is block-diagonal in the dressed frame:
+    |G> alone and, per excitation number n, the 2x2 coupling block on
+    (|E^n>, |E^{n-1}R>).  The Rydberg amplitude of block n is
+    x+ e^{-iE+ t} + x- e^{-iE- t} with x± = <E^{n-1}R|±> c±, c± the
+    dressed components of the stage-1 state, so with z = x+ conj(x-) and
+    w = E+ - E-:  p_ryd(t) = sum_n |x+|^2 + |x-|^2 + 2 Re(z e^{-iwt}).
     """
     # stage 1: probe only; omega_c must be positive, so use a negligible value
     h1 = build_dicke_hamiltonian(
@@ -529,14 +535,24 @@ def collapse_revival_demo(
     psi0 = np.zeros(h1.shape[0], dtype=complex)
     psi0[0] = 1.0
     psi1 = propagate_pure(h1, psi0, [probe_pulse_time])[0]
-    # stage 2: coupling only
-    h2 = build_dicke_hamiltonian(
-        params.replace(omega_p=0.0, delta_p=0.0), spec
+    # stage 2: coupling only, block by block in the dressed frame
+    times = np.asarray(times, dtype=float)
+    energies, evecs = _dressed_vectors(
+        params.replace(omega_p=0.0, delta_p=0.0), np.arange(1, spec.n_atoms + 1)
     )
-    states = propagate_pure(h2, psi1, times)
-    pops = np.abs(states) ** 2
-    _, s = dicke_labels(spec.n_atoms)
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        populations={"p_ryd": pops[:, s == 1].sum(axis=1)},
-    )
+    # block n holds Dicke positions (2n-1, 2n); its dressed components
+    # (c-, c+) are V^T times that pair
+    c = np.einsum("nab,na->nb", evecs, psi1[1:].reshape(-1, 2))
+    norm = abs(psi1[0]) ** 2 + np.sum(np.abs(c) ** 2)
+    # "not <=" so that a NaN norm fails the check
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise NumericalFailure("norm not conserved in the dressed frame")
+    x = evecs[:, 1, :] * c
+    z = x[:, 1] * x[:, 0].conj()
+    phase = np.outer(times, energies[:, 1] - energies[:, 0])
+    beat = np.cos(phase) @ z.real
+    beat += np.sin(phase, out=phase) @ z.imag
+    p_ryd = np.sum(np.abs(x) ** 2) + 2.0 * beat
+    if not np.isfinite(p_ryd).all():
+        raise NumericalFailure("non-finite Rydberg population in the dressed frame")
+    return Trajectory(times=times, populations={"p_ryd": p_ryd})

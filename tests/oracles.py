@@ -2,7 +2,7 @@
 uses, kept as test oracles."""
 
 from itertools import product as iterproduct
-from math import isfinite, sqrt
+from math import comb, isfinite, sin, sqrt
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -23,6 +23,23 @@ def effective_two_level(params, spec):
     omega_eff = sqrt(2.0 / 3.0) * sqrt(n * (n - 1)) * params.omega_p**2 / params.omega_c
     delta_eff = (2 * n - 7) / 3.0 * params.omega_p**2 / params.omega_c
     return omega_eff, delta_eff
+
+
+def collapse_revival_p_ryd(n_atoms, omega_p, omega_c, probe_pulse_time, times):
+    """Closed-form Rydberg population of the two-stage collapse-revival demo
+    at delta_c = 0 (Eberly, Narozhny & Sanchez-Mondragon, PRL 44, 1323 (1980)).
+
+    The resonant probe pulse leaves each atom in e with probability
+    p = sin^2(omega_p t_1 / 2), so |E^j> holds the binomial weight
+    P_j = C(N, j) p^j (1 - p)^(N - j); the coupling laser then flops block j
+    between |E^j> and |E^{j-1}R> at sqrt(j)*omega_c:
+    p_ryd(t) = sum_j P_j sin^2(sqrt(j) omega_c t / 2).
+    """
+    p = sin(omega_p * probe_pulse_time / 2) ** 2
+    j = np.arange(n_atoms + 1)
+    weights = np.array([comb(n_atoms, k) * p**k * (1 - p) ** (n_atoms - k) for k in j])
+    t = np.asarray(times, dtype=float)[:, None]
+    return (weights * np.sin(np.sqrt(j) * omega_c * t / 2) ** 2).sum(axis=1)
 
 
 def eigh_banded(h):

@@ -8,7 +8,7 @@ are stated inline next to each check.
 import numpy as np
 import pytest
 
-from oracles import ProductBasis
+from oracles import ProductBasis, collapse_revival_p_ryd
 from superatom.basis import EnsembleSpec, symmetrizer
 from superatom.dynamics import (
     DecoherenceRates,
@@ -303,12 +303,15 @@ def test_criterion_8_oracle_equivalences():
 
 def test_criterion_9_collapse_revival():
     """N=20 two-stage run: Rydberg oscillations collapse, then partially
-    revive (envelope analysis on p_rydberg)."""
+    revive (envelope analysis on p_rydberg), and p_rydberg follows the
+    closed form sum_j P_j sin^2(sqrt(j) Omega_c t / 2) at every time."""
     spec = EnsembleSpec(20)
     params = LaserParams(TWO_PI * 1.0, TWO_PI * 10.0, 0.0, 0.0)
     times = np.linspace(0.002, 1.2, 1200)
     traj = collapse_revival_demo(spec, params, 1.0 / 6.0, times)
     p = traj.populations["p_ryd"]
+    gap = float(np.max(np.abs(p - collapse_revival_p_ryd(
+        20, params.omega_p, params.omega_c, 1.0 / 6.0, times))))
 
     def amplitude(t0, t1):
         m = (times >= t0) & (times < t1)
@@ -317,11 +320,12 @@ def test_criterion_9_collapse_revival():
     early = amplitude(0.0, 0.10)  # initial sqrt(j)-ladder Rabi oscillations
     mid = amplitude(0.20, 0.35)  # collapsed region
     revival = amplitude(0.38, 0.55)  # around t ~ 4 pi sqrt(j)/omega_c
-    checks = [mid < 0.5 * early, revival > 1.5 * mid]
+    checks = [mid < 0.5 * early, revival > 1.5 * mid, gap <= 1e-10]
     ok = report(
         "9 (collapse and revival)",
         all(checks),
         f"envelope early {early:.3f} -> collapsed {mid:.3f} (<{0.5 * early:.3f})"
-        f" -> revival {revival:.3f} (>{1.5 * mid:.3f})",
+        f" -> revival {revival:.3f} (>{1.5 * mid:.3f}); closed-form gap "
+        f"{gap:.1e} (<=1e-10)",
     )
     assert ok

@@ -239,6 +239,18 @@ class TestFormatting:
         want = "n,x,y,z\n" + "".join(csv_line(row) for row in table)
         assert self.written(tmp_path, header, table) == want
 
+    @pytest.mark.parametrize("table", [
+        [],
+        np.empty((0, 3)),
+        [(1.5, float("nan"), None)],
+        np.array([[np.nan, np.nan, np.nan], [0.1, np.nan, -2.0]]),
+    ], ids=["no-rows", "empty-array", "one-row", "nan-cells"])
+    def test_edge_tables_match_reference(self, tmp_path, table):
+        """The whole table is formatted in one go: a table with no rows
+        writes the header alone, and NaN cells are empty in every row."""
+        want = "a,b,c\n" + "".join(csv_line(row) for row in table)
+        assert self.written(tmp_path, ["a", "b", "c"], table) == want
+
     def test_trajectory_with_undefined_first_rows(self, tmp_path):
         """A probe so weak that p_ryd <= NO_HERALD_EPS over the first rows:
         their infidelity cells are empty, as the per-row herald formula and
@@ -794,6 +806,25 @@ class TestMainEntry:
         )
         code, _ = run_cli(tmp_path, "jc-demo", text)
         assert code == 0
+
+    def test_jc_demo_numerical_failure_exit_code(self, tmp_path, capsys,
+                                                 monkeypatch):
+        """A stage-1 state off the unit sphere fails the dressed frame's
+        norm check: exit 4, and no output."""
+        from superatom import protocol
+
+        real = protocol.propagate_pure
+        monkeypatch.setattr(protocol, "propagate_pure",
+                            lambda *args: real(*args) * (1.0 + 1e-9))
+        text = (
+            "n_atoms = 8\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
+            "probe_pulse_time_us = 0.2\ntotal_time_us = 1\nn_times = 51\n"
+        )
+        code, out = run_cli(tmp_path, "jc-demo", text)
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical failure: norm not conserved in the dressed frame"]
+        assert not out.exists()
 
 
 # A tiny config of each protocol experiment, and for every optional key a

@@ -308,8 +308,10 @@ class TestBandedPropagation:
 
     def test_collapse_revival_stages(self, eigh_sizes):
         """Stage 1 of collapse_revival_demo at N = 100 (binomial p = 1/4)
-        spreads |G> over the whole ladder; stage 2 starts from that spread
-        state, so its first block is already the whole chain."""
+        spreads |G> over the whole ladder; propagating stage 2's Dicke H from
+        that spread state takes the whole chain as its first block, and
+        gives the p_ryd that collapse_revival_demo reads in the dressed
+        frame."""
         spec = EnsembleSpec(100)
         params = LaserParams(TWO_PI * 1.0, TWO_PI * 10.0, 0.0, 0.0)
         h1 = build_dicke_hamiltonian(LaserParams(params.omega_p, 1e-12, 0.0, 0.0), spec)

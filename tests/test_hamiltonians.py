@@ -394,8 +394,10 @@ class TestArrayBuildsMatchLoops:
     @settings(max_examples=30, deadline=None)
     @given(laser_params, st.integers(1, 12))
     def test_dressed_block(self, params, n):
-        _, evecs = reference_dressed_block(params, n)
-        assert np.array_equal(_dressed_vectors(params, np.array([n]))[0], evecs)
+        want_energies, want_evecs = reference_dressed_block(params, n)
+        energies, evecs = _dressed_vectors(params, np.array([n]))
+        assert np.array_equal(energies[0], want_energies)
+        assert np.array_equal(evecs[0], want_evecs)
 
     @settings(max_examples=30, deadline=None)
     @given(laser_params, st.integers(1, 12))

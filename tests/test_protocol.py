@@ -5,13 +5,14 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import effective_two_level, enumerate_dicke
+from oracles import collapse_revival_p_ryd, effective_two_level, enumerate_dicke
 from superatom import cli, protocol
-from superatom.basis import EnsembleSpec, symmetrizer
+from superatom.basis import EnsembleSpec, dicke_labels, symmetrizer
 from superatom.dynamics import DecoherenceRates, NumericalFailure, propagate_pure
 from superatom.hamiltonians import (
     TWO_PI,
     LaserParams,
+    build_dicke_hamiltonian,
     build_product_hamiltonian,
     resonance_probe_detuning,
 )
@@ -447,3 +448,110 @@ class TestCollapseRevival:
         p = traj.populations["p_ryd"]
         assert p.shape == times.shape
         assert np.all((0 <= p) & (p <= 1 + 1e-12))
+
+    # the jc-demo parameters of criterion 9 and of the benchmark
+    OMEGA_P, OMEGA_C, PULSE = TWO_PI * 1.0, TWO_PI * 10.0, 1.0 / 6.0
+    TIMES = np.linspace(0.0, 1.2, 1201)[1:]
+
+    @classmethod
+    def _whole_chain(cls, spec, params):
+        """p_ryd of stage 2 through propagate_pure on the whole stage-2
+        Dicke H, the path collapse_revival_demo took before the dressed
+        frame."""
+        h1 = build_dicke_hamiltonian(LaserParams(params.omega_p, 1e-12, 0.0, 0.0), spec)
+        psi0 = np.zeros(h1.shape[0], dtype=complex)
+        psi0[0] = 1.0
+        psi1 = propagate_pure(h1, psi0, [cls.PULSE])[0]
+        h2 = build_dicke_hamiltonian(params.replace(omega_p=0.0, delta_p=0.0), spec)
+        pops = np.abs(propagate_pure(h2, psi1, cls.TIMES)) ** 2
+        _, s = dicke_labels(spec.n_atoms)
+        return pops[:, s == 1].sum(axis=1)
+
+    @pytest.mark.parametrize("delta_c_ratio", [0.0, 0.3, -0.3])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 20, 100])
+    def test_dressed_frame_matches_pure_propagation(self, n_atoms, delta_c_ratio):
+        spec = EnsembleSpec(n_atoms)
+        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0,
+                             delta_c_ratio * self.OMEGA_C)
+        traj = collapse_revival_demo(spec, params, self.PULSE, self.TIMES)
+        want = self._whole_chain(spec, params)
+        assert np.max(np.abs(traj.populations["p_ryd"] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("delta_c_ratio", [0.0, -0.3])
+    @pytest.mark.parametrize("n_atoms", [1, 5])
+    def test_dressed_frame_from_any_state(self, monkeypatch, n_atoms, delta_c_ratio):
+        """A stage-1 state with Rydberg amplitude and a phase between the two
+        states of each block, which the probe alone never prepares, so the
+        sin term of the beat is exercised."""
+        rng = np.random.default_rng(n_atoms)
+        psi1 = rng.normal(size=2 * n_atoms + 1) + 1j * rng.normal(size=2 * n_atoms + 1)
+        psi1 /= np.linalg.norm(psi1)
+        monkeypatch.setattr(protocol, "propagate_pure", lambda *args: psi1[None, :])
+        spec = EnsembleSpec(n_atoms)
+        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0,
+                             delta_c_ratio * self.OMEGA_C)
+        traj = collapse_revival_demo(spec, params, self.PULSE, self.TIMES)
+        h2 = build_dicke_hamiltonian(params.replace(omega_p=0.0), spec)
+        pops = np.abs(propagate_pure(h2, psi1, self.TIMES)) ** 2
+        _, s = dicke_labels(n_atoms)
+        want = pops[:, s == 1].sum(axis=1)
+        assert np.max(np.abs(traj.populations["p_ryd"] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("n_atoms", [20, 100])
+    def test_closed_form(self, n_atoms):
+        """At delta_c = 0 both paths follow the closed form
+        sum_j P_j sin^2(sqrt(j) Omega_c t / 2)."""
+        spec = EnsembleSpec(n_atoms)
+        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
+        want = collapse_revival_p_ryd(n_atoms, self.OMEGA_P, self.OMEGA_C,
+                                      self.PULSE, self.TIMES)
+        traj = collapse_revival_demo(spec, params, self.PULSE, self.TIMES)
+        assert np.max(np.abs(traj.populations["p_ryd"] - want)) <= 1e-10
+        assert np.max(np.abs(self._whole_chain(spec, params) - want)) <= 1e-10
+
+    def test_stage_two_needs_no_large_eigh(self, monkeypatch):
+        """Stage 1 calls propagate_pure once; after it returns, the only
+        eigh is the batched stack of 2x2 coupling blocks."""
+        events = []
+        real_eigh, real_propagate = np.linalg.eigh, protocol.propagate_pure
+
+        def eigh(a, *args, **kwargs):
+            events.append(np.shape(a))
+            return real_eigh(a, *args, **kwargs)
+
+        def propagate(*args, **kwargs):
+            out = real_propagate(*args, **kwargs)
+            events.append("propagate_pure")
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(protocol, "propagate_pure", propagate)
+        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
+        collapse_revival_demo(EnsembleSpec(100), params, self.PULSE, self.TIMES)
+        assert events.count("propagate_pure") == 1
+        stage_two = events[events.index("propagate_pure") + 1:]
+        assert stage_two == [(100, 2, 2)]
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
+    def test_stage_one_norm_checked(self, monkeypatch, scale):
+        """A stage-1 state off the unit sphere, or not finite, fails the
+        dressed frame's norm check."""
+        real = protocol.propagate_pure
+        monkeypatch.setattr(protocol, "propagate_pure",
+                            lambda *args: real(*args) * scale)
+        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
+        with pytest.raises(NumericalFailure, match="norm not conserved"):
+            collapse_revival_demo(EnsembleSpec(20), params, self.PULSE, self.TIMES)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_population_fails(self, monkeypatch):
+        real = protocol._dressed_vectors
+
+        def infinite_energies(*args):
+            energies, evecs = real(*args)
+            return energies * np.inf, evecs
+
+        monkeypatch.setattr(protocol, "_dressed_vectors", infinite_energies)
+        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            collapse_revival_demo(EnsembleSpec(20), params, self.PULSE, self.TIMES)
