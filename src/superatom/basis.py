@@ -25,10 +25,10 @@ LEVEL_G, LEVEL_E, LEVEL_R = 0, 1, 2
 N_MAX_PRODUCT_VECTOR = 8
 N_MAX_PRODUCT_DENSITY = 4
 # The Dicke Hamiltonian is a dense (2N+1)^2 array.  At N = 2000 (one BLAS
-# thread) a rabi run peaks at 0.40 GB RSS in 0.7 s and a jc-demo, whose
-# probe stage spreads the state over the whole chain, at 0.74 GB in 14 s;
-# memory grows as N^2 and the jc-demo eigensolver as N^3.  The limit keeps
-# the lambda = 1e3 scan-n window (N <= 1190) inside.
+# thread) a rabi run peaks at 0.40 GB RSS in 0.7 s, and memory grows as
+# N^2.  A jc-demo builds no Dicke H (its probe stage is in closed form, its
+# coupling stage in the dressed frame) and peaks at 68 MB in 0.09 s.  The
+# limit keeps the lambda = 1e3 scan-n window (N <= 1190) inside.
 N_MAX_DICKE = 2000
 
 

@@ -4,7 +4,9 @@ Usage: superatom-sim <experiment> --config FILE --out DIR
 
 Every experiment runs in the calling process and returns its table and
 summary; only then is DIR created and both files written, each first under
-a temporary name, so a run that exits non-zero writes nothing.  --workers
+a temporary name, so a run that exits non-zero writes nothing.  This module
+resolves nothing: a run or scan returns the resolution that summary.json
+records, and a scan also returns the results it writes there.  --workers
 is accepted only as 1, for compatibility with older command lines.
 
 Exit codes: 0 success, 2 configuration error (refused while parsing, a
@@ -38,7 +40,6 @@ from .protocol import (
     PoissonEnsemble,
     collapse_revival_demo,
     poisson_average,
-    resolve_protocol,
     run_protocol,
     scan_decoherence,
     scan_delta_c,
@@ -134,77 +135,43 @@ def _run_rabi(rc):
     )
 
 
-def _run_scan_dc(rc):
+def _run_scan(rc):
+    """scan-dc, scan-oc, scan-n and lindblad-scan: one scan.csv row per
+    point, and the resolution the scan made of its unscanned config."""
     cfg, model = protocol_config(rc)
     v = rc.values
-    ratios = np.linspace(v["ratio_min"], v["ratio_max"], v["n_points"])
-    scan = scan_delta_c(cfg, ratios, model=model)
-    return (
-        "scan.csv",
-        ["delta_c_over_omega_c", "success", "infidelity"],
-        [(r.x, r.success, r.infidelity) for r in scan.rows],
-        {**_resolved_dict(resolve_protocol(cfg)), "model": model},
-        scan.summary,
-    )
-
-
-def _run_scan_oc(rc):
-    cfg, model = protocol_config(rc)
-    v = rc.values
-    grid = TWO_PI * np.geomspace(
-        v["omega_c_min_mhz"], v["omega_c_max_mhz"], v["n_points"]
-    )
-    scan = scan_omega_c(cfg, grid, model=model)
-    return (
-        "scan.csv",
-        ["omega_c_mhz", "success", "infidelity", "bound"],
-        [(r.x / TWO_PI, r.success, r.infidelity, r.extra["bound"]) for r in scan.rows],
-        {**_resolved_dict(resolve_protocol(cfg)), "model": model},
-        scan.summary,
-    )
-
-
-def _run_scan_n(rc):
-    cfg, model = protocol_config(rc)
-    v = rc.values
-    ensemble = PoissonEnsemble.from_mean(
-        v["poisson_mean"], half_width_sigmas=v["half_width_sigmas"]
-    )
-    avg = poisson_average(cfg, ensemble, model=model)
-    return (
-        "scan.csv",
-        ["n_atoms", "weight", "success", "infidelity"],
-        [(r.x, w, r.success, r.infidelity) for r, w in zip(avg.per_n, avg.weights)],
-        {**_resolved_dict(resolve_protocol(cfg)), "model": model},
-        {
-            "mean_success": avg.mean_success,
-            "mean_infidelity": avg.mean_infidelity,
-            "unconditional_mean_infidelity": avg.unconditional_mean_infidelity,
-            "fixed_n_success": avg.fixed_n.success,
-            "fixed_n_infidelity": avg.fixed_n.infidelity,
-        },
-    )
-
-
-def _run_lindblad_scan(rc):
-    cfg, _ = protocol_config(rc)
-    v = rc.values
-    grid = TWO_PI * np.linspace(v["gamma_min_mhz"], v["gamma_max_mhz"], v["n_points"])
-    scan = scan_decoherence(cfg, v["channel"], grid)
-    return (
-        "scan.csv",
-        ["gamma_mhz", "success", "infidelity"],
-        [(r.x / TWO_PI, r.success, r.infidelity) for r in scan.rows],
-        {**_resolved_dict(resolve_protocol(cfg)), "channel": v["channel"]},
-        {
-            # slope converted to infidelity per MHz of Gamma/2pi
-            "slope_per_mhz": scan.slope * TWO_PI,
-            "slope_per_decay": scan.slope_per_decay,
-            "integrated_population_us": scan.integrated_population,
-            "intercept": scan.intercept,
-            "r_squared": scan.r_squared,
-        },
-    )
+    label = {"model": model}
+    if rc.experiment == "scan-dc":
+        ratios = np.linspace(v["ratio_min"], v["ratio_max"], v["n_points"])
+        scan = scan_delta_c(cfg, ratios, model=model)
+        header = ["delta_c_over_omega_c", "success", "infidelity"]
+        table = [(r.x, r.success, r.infidelity) for r in scan.rows]
+    elif rc.experiment == "scan-oc":
+        grid = TWO_PI * np.geomspace(
+            v["omega_c_min_mhz"], v["omega_c_max_mhz"], v["n_points"]
+        )
+        scan = scan_omega_c(cfg, grid, model=model)
+        header = ["omega_c_mhz", "success", "infidelity", "bound"]
+        table = [(r.x / TWO_PI, r.success, r.infidelity, r.extra["bound"])
+                 for r in scan.rows]
+    elif rc.experiment == "scan-n":
+        ensemble = PoissonEnsemble.from_mean(
+            v["poisson_mean"], half_width_sigmas=v["half_width_sigmas"]
+        )
+        scan = poisson_average(cfg, ensemble, model=model)
+        header = ["n_atoms", "weight", "success", "infidelity"]
+        table = [(r.x, r.extra["weight"], r.success, r.infidelity)
+                 for r in scan.rows]
+    else:
+        grid = TWO_PI * np.linspace(
+            v["gamma_min_mhz"], v["gamma_max_mhz"], v["n_points"]
+        )
+        scan = scan_decoherence(cfg, v["channel"], grid)
+        header = ["gamma_mhz", "success", "infidelity"]
+        table = [(r.x / TWO_PI, r.success, r.infidelity) for r in scan.rows]
+        label = {"channel": v["channel"]}
+    return ("scan.csv", header, table,
+            {**_resolved_dict(scan.resolved), **label}, scan.summary)
 
 
 def _run_ion_mc(rc):
@@ -261,10 +228,10 @@ def _run_jc_demo(rc):
 # and writes nothing; main writes both files once the run has succeeded.
 _RUNNERS = {
     "rabi": _run_rabi,
-    "scan-dc": _run_scan_dc,
-    "scan-oc": _run_scan_oc,
-    "scan-n": _run_scan_n,
-    "lindblad-scan": _run_lindblad_scan,
+    "scan-dc": _run_scan,
+    "scan-oc": _run_scan,
+    "scan-n": _run_scan,
+    "lindblad-scan": _run_scan,
     "ion-mc": _run_ion_mc,
     "jc-demo": _run_jc_demo,
 }

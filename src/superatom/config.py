@@ -3,26 +3,28 @@
 User-facing frequencies are nu = Omega/2pi in MHz (decay rates likewise
 Gamma/2pi); times are us, except ion-mc where they are ns.  Internal
 values are angular (rad/us).  Each experiment's schema holds only the keys
-its run reads; any other key is rejected with its line number.  Values
-that cannot run are refused while parsing, but a scan resolves each point
-(its Omega_p, delta_p and pulse time) only as that point runs.
+its run reads; any other key is rejected with its line number.  The
+parser checks only the input: types, bounds, conflicts, distinct output
+times, the atom-number caps, the Poisson window and the ion step cap.  It
+resolves no protocol and builds no Hamiltonian; protocol resolves each run
+(its Omega_p, delta_p and pulse time) and refuses what it cannot run, such
+as a master equation beyond its work cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import (
     N_MAX_DICKE,
-    N_MAX_PRODUCT_DENSITY,
     N_MAX_PRODUCT_VECTOR,
     CapacityError,
     EnsembleSpec,
 )
-from .dynamics import DecoherenceRates, check_lindblad_work, lindblad_operators
-from .hamiltonians import TWO_PI, LaserParams, build_product_hamiltonian
+from .dynamics import DecoherenceRates
+from .hamiltonians import TWO_PI, LaserParams
 from .ion_escape import ION_MAX_STEPS, MAX_TIME_STEP_NS, IonEscapeConfig
 from .protocol import (
     AUTO_DELTA_P,
@@ -30,7 +32,6 @@ from .protocol import (
     POISSON_N_FLOOR,
     PoissonEnsemble,
     ProtocolConfig,
-    resolve_protocol,
 )
 
 EXPERIMENTS = (
@@ -358,8 +359,6 @@ def parse_config(text: str, experiment: str) -> RunConfig:
             f"{values['model']!r} ignores the decay rate {rates[0]!r}; "
             "only 'lindblad' models decay"
         )
-    if experiment in ("rabi", "lindblad-scan"):
-        _check_master_equation_work(RunConfig(experiment, values))
     if experiment == "ion-mc":
         ion = ion_config(RunConfig(experiment, values))
         steps = ion.horizon / ion.time_step
@@ -370,24 +369,6 @@ def parse_config(text: str, experiment: str) -> RunConfig:
                 f"the {ion.horizon:g} ns horizon exceed the cap {ION_MAX_STEPS}"
             )
     return RunConfig(experiment=experiment, values=values, provided=provided)
-
-
-def _check_master_equation_work(rc: RunConfig) -> None:
-    """dynamics.check_lindblad_work on a rabi run under the lindblad model,
-    or on a lindblad-scan at its largest rate.  Runs whose atom number the
-    master equation refuses are left to that refusal."""
-    cfg, model = protocol_config(rc)
-    if rc.experiment == "lindblad-scan":
-        v = rc.values
-        top = TWO_PI * max(v["gamma_min_mhz"], v["gamma_max_mhz"])
-        cfg = replace(cfg, rates=DecoherenceRates(**{v["channel"]: top}))
-    if model == "lindblad" and cfg.spec.n_atoms <= N_MAX_PRODUCT_DENSITY:
-        res = resolve_protocol(cfg)
-        check_lindblad_work(
-            build_product_hamiltonian(res.params, res.spec),
-            lindblad_operators(res.rates, res.spec),
-            res.pulse_time,
-        )
 
 
 def _resolve_delta_c(values: dict, omega_c: float) -> float:

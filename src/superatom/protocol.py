@@ -9,7 +9,7 @@ success probability (total Rydberg population) and false-herald fraction
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import inf, isnan, lgamma, log, nan, pi, sqrt
+from math import cos, inf, isnan, lgamma, log, nan, pi, sin, sqrt
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .basis import (
     CapacityError,
     DickeIndex,
     EnsembleSpec,
+    dicke_dimension,
     dicke_labels,
     dicke_position,
     product_basis,
@@ -31,6 +32,7 @@ from .dynamics import (
     DecoherenceRates,
     NumericalFailure,
     Trajectory,
+    check_lindblad_work,
     evolve_lindblad,
     lindblad_operators,
     propagate_pure,
@@ -81,7 +83,9 @@ class ResolvedProtocol:
     """All laser parameters and derived quantities pinned down for a run.
 
     omega_eff and delta_eff are NaN on a point that was not reduced (a
-    scan-n atom number under a model that does not read them).
+    scan-n atom number under a model that does not read them).  two_plus
+    holds |2+> on the first five Dicke positions, where all of its weight
+    lies; it depends on the laser parameters alone, so it holds at every N.
     """
 
     spec: EnsembleSpec
@@ -91,6 +95,7 @@ class ResolvedProtocol:
     delta_eff: float
     delta_p_resonance: float
     pulse_time: float
+    two_plus: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass
@@ -102,19 +107,22 @@ class ProtocolResult:
 
 
 def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
-    """Solve omega_p, delta_p and the pulse time from the configured knobs."""
+    """Solve omega_p, delta_p and the pulse time from the configured knobs,
+    with one second-order reduction."""
     spec, params = cfg.spec, cfg.params
     dp_res = resonance_probe_detuning(params.omega_c, params.delta_c)
     probe = params.replace(delta_p=dp_res)
-    if cfg.effective_rabi_target is not None:
-        # omega_eff scales as omega_p^2; solve from a unit-probe evaluation
-        unit = probe.replace(omega_p=1.0)
-        coef, _ = second_order_reduction(unit, spec)
+    if cfg.effective_rabi_target is None:
+        omega_eff, delta_eff = second_order_reduction(probe, spec)
+    else:
+        # The probe has no diagonal element in the dressed frame, so at
+        # second order omega_eff and delta_eff both scale as omega_p^2:
+        # solve omega_p from a unit-probe reduction and scale it.
+        coef, shift = second_order_reduction(probe.replace(omega_p=1.0), spec)
         if coef <= 0:
             raise BasisError("effective coupling vanished; cannot solve omega_p")
-        omega_p = sqrt(cfg.effective_rabi_target / coef)
-        probe = probe.replace(omega_p=omega_p)
-    omega_eff, delta_eff = second_order_reduction(probe, spec)
+        probe = probe.replace(omega_p=sqrt(cfg.effective_rabi_target / coef))
+        omega_eff, delta_eff = coef * probe.omega_p**2, shift * probe.omega_p**2
     if np.isnan(params.delta_p):
         delta_p = dp_res + delta_eff / 2.0
     else:
@@ -133,6 +141,7 @@ def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
         delta_eff=delta_eff,
         delta_p_resonance=dp_res,
         pulse_time=pulse_time,
+        two_plus=_two_plus_in_dicke(final, EnsembleSpec(2)),
     )
 
 
@@ -215,6 +224,20 @@ def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
     return h2, np.array([ground, two_plus])
 
 
+def _check_density_capacity(spec: EnsembleSpec) -> None:
+    if spec.n_atoms > N_MAX_PRODUCT_DENSITY:
+        raise CapacityError(
+            f"product-basis density matrix for N={spec.n_atoms} exceeds "
+            f"limit {N_MAX_PRODUCT_DENSITY}"
+        )
+
+
+def _master_equation(res: ResolvedProtocol):
+    """(product-basis H, jump operators) of a master-equation run."""
+    return (build_product_hamiltonian(res.params, res.spec),
+            lindblad_operators(res.rates, res.spec))
+
+
 def run_protocol(
     cfg: ProtocolConfig | ResolvedProtocol, model: str = "dicke", n_times: int = 201
 ) -> ProtocolResult:
@@ -222,21 +245,19 @@ def run_protocol(
     ResolvedProtocol is run as it stands, without a second resolution."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
-    if model == "lindblad" and cfg.spec.n_atoms > N_MAX_PRODUCT_DENSITY:
-        raise CapacityError(
-            f"product-basis density matrix for N={cfg.spec.n_atoms} exceeds "
-            f"limit {N_MAX_PRODUCT_DENSITY}"
-        )
+    if model == "lindblad":
+        _check_density_capacity(cfg.spec)
     res = cfg if isinstance(cfg, ResolvedProtocol) else resolve_protocol(cfg)
-    spec, params = res.spec, res.params
+    spec = res.spec
     times = np.linspace(0.0, res.pulse_time, n_times)[1:]
-    two_plus = _two_plus_in_dicke(params, spec)
+    two_plus = np.zeros(dicke_dimension(spec.n_atoms))
+    two_plus[:5] = res.two_plus
 
     if model == "lindblad":
-        h = build_product_hamiltonian(params, spec)
+        h, jumps = _master_equation(res)
         rho0 = np.zeros(h.shape, dtype=complex)
         rho0[0, 0] = 1.0  # |G>
-        rhos = evolve_lindblad(h, lindblad_operators(res.rates, spec), rho0, times)
+        rhos = evolve_lindblad(h, jumps, rho0, times)
         traj = _density_readout(times, spec, rhos, two_plus)
     else:
         h, columns = _pure_model(model, res, two_plus)
@@ -277,7 +298,8 @@ def _scan_row(x, cfg, model: str, **extra) -> ScanRow:
 @dataclass
 class ScanResult:
     rows: list[ScanRow]
-    summary: dict  # the scalar results over the grid
+    summary: dict  # the scalar results over the grid, as summary.json holds them
+    resolved: ResolvedProtocol  # of the unscanned config
 
 
 def _parabolic_refine(xs, ys, k):
@@ -309,6 +331,7 @@ def scan_delta_c(cfg: ProtocolConfig, ratios, model: str = "dicke") -> ScanResul
     """
     if cfg.effective_rabi_target is None:
         raise ValueError("scan_delta_c requires an effective_rabi_target")
+    resolved = resolve_protocol(cfg)
     pts = [
         replace(
             cfg,
@@ -327,7 +350,8 @@ def scan_delta_c(cfg: ProtocolConfig, ratios, model: str = "dicke") -> ScanResul
     k = min(defined, key=lambda i: ys[i])
     x_min, y_min = _parabolic_refine(xs, ys, k)
     return ScanResult(
-        rows, {"minimum": {"delta_c_over_omega_c": x_min, "infidelity": y_min}}
+        rows, {"minimum": {"delta_c_over_omega_c": x_min, "infidelity": y_min}},
+        resolved,
     )
 
 
@@ -364,20 +388,11 @@ class PoissonEnsemble:
         return ns, w / w.sum()
 
 
-@dataclass
-class PoissonAverageResult:
-    mean_success: float
-    mean_infidelity: float  # herald-weighted
-    unconditional_mean_infidelity: float
-    per_n: list[ScanRow]
-    weights: np.ndarray  # p(N) of each per_n row
-    fixed_n: ScanRow
-
-
 def poisson_average(
     cfg: ProtocolConfig, ensemble: PoissonEnsemble, model: str = "dicke"
-) -> PoissonAverageResult:
-    """Average over atom number with laser parameters fixed at N = mean.
+) -> ScanResult:
+    """Average over atom number with laser parameters fixed at N = mean;
+    each row's extra holds its weight p(N).
 
     The infidelity average is herald-weighted (weights p(N)*success(N)):
     fidelity is conditional on detecting an ion.  The plain p(N)-weighted
@@ -402,19 +417,22 @@ def poisson_average(
             replace(ref, spec=EnsembleSpec(int(n)), omega_eff=nan, delta_eff=nan)
             for n in ns
         ]
-    per_n = [_scan_row(n, c, model) for n, c in zip(ns, pts)]
-    if all(r.infidelity is None for r in per_n):
+    rows = [_scan_row(n, c, model, weight=w) for n, c, w in zip(ns, pts, ws)]
+    if all(r.infidelity is None for r in rows):
         raise NumericalFailure(
             f"infidelity undefined at every atom number N = {ns[0]}..{ns[-1]}"
         )
-    succ = np.array([r.success for r in per_n])
-    infid = np.array([0.0 if r.infidelity is None else r.infidelity for r in per_n])
+    succ = np.array([r.success for r in rows])
+    infid = np.array([0.0 if r.infidelity is None else r.infidelity for r in rows])
     herald_w = ws * succ
-    mean_success = float(herald_w.sum())
-    mean_infid = float((herald_w * infid).sum() / herald_w.sum())
-    uncond = float((ws * infid).sum())
-    fixed = next(r for r in per_n if int(r.x) == lam)
-    return PoissonAverageResult(mean_success, mean_infid, uncond, per_n, ws, fixed)
+    fixed = next(r for r in rows if int(r.x) == lam)
+    return ScanResult(rows, {
+        "mean_success": float(herald_w.sum()),
+        "mean_infidelity": float((herald_w * infid).sum() / herald_w.sum()),
+        "unconditional_mean_infidelity": float((ws * infid).sum()),
+        "fixed_n_success": fixed.success,
+        "fixed_n_infidelity": fixed.infidelity,
+    }, ref)
 
 
 def scan_omega_c(
@@ -424,6 +442,7 @@ def scan_omega_c(
     slope and whether every point is within its 10*w_eff/w_c bound."""
     if cfg.effective_rabi_target is None:
         raise ValueError("scan_omega_c requires an effective_rabi_target")
+    resolved = resolve_protocol(cfg)
     pts = [
         replace(
             cfg,
@@ -449,18 +468,7 @@ def scan_omega_c(
     return ScanResult(rows, {
         "log_log_slope": float(np.polyfit(xs, ys, 1)[0]),
         "bound_satisfied": all(r.infidelity <= r.extra["bound"] for r in rows),
-    })
-
-
-@dataclass
-class DecoherenceScanResult:
-    which: str
-    rows: list[ScanRow]
-    slope: float  # d(infidelity)/d(rate), per rad/us
-    intercept: float
-    r_squared: float
-    integrated_population: float  # us; int <n_level> dt for the decaying level
-    slope_per_decay: float  # d(infidelity)/d(Gamma * int <n> dt), dimensionless
+    }, resolved)
 
 
 def _integrated_level_population(res: ResolvedProtocol, which: str) -> float:
@@ -476,16 +484,21 @@ def _integrated_level_population(res: ResolvedProtocol, which: str) -> float:
     return float(np.trapezoid(pops @ weight, times))
 
 
-def scan_decoherence(cfg: ProtocolConfig, which: str, grid) -> DecoherenceScanResult:
+def scan_decoherence(cfg: ProtocolConfig, which: str, grid) -> ScanResult:
     """Lindblad infidelity vs one decoherence rate (others zero).
 
     Besides the raw slope against the rate, the slope against the
     time-integrated decay probability Gamma * int <n> dt is reported;
     the latter is the natural sensitivity measure for comparing channels.
+    The master-equation work is checked at the largest rate before any
+    point runs.
     """
     if which not in ("gamma_e", "gamma_r", "gamma_d"):
         raise ValueError(f"unknown decoherence channel {which!r}")
     res = resolve_protocol(cfg)  # the rates do not enter the resolution
+    _check_density_capacity(res.spec)
+    top = replace(res, rates=DecoherenceRates(**{which: float(np.max(grid))}))
+    check_lindblad_work(*_master_equation(top), top.pulse_time)
     pts = [replace(res, rates=DecoherenceRates(**{which: float(g)})) for g in grid]
     rows = [_scan_row(g, c, "lindblad") for g, c in zip(grid, pts)]
     for r in rows:
@@ -500,12 +513,38 @@ def scan_decoherence(cfg: ProtocolConfig, which: str, grid) -> DecoherenceScanRe
     pred = slope * xs + intercept
     ss_res = float(((ys - pred) ** 2).sum())
     ss_tot = float(((ys - ys.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     integ = _integrated_level_population(res, which)
-    return DecoherenceScanResult(
-        which, rows, float(slope), float(intercept), r2, integ,
-        float(slope) / integ,
-    )
+    return ScanResult(rows, {
+        # d(infidelity)/d(rate), converted to per MHz of Gamma/2pi
+        "slope_per_mhz": float(slope) * TWO_PI,
+        # d(infidelity)/d(Gamma * int <n> dt), dimensionless
+        "slope_per_decay": float(slope) / integ,
+        "integrated_population_us": integ,
+        "intercept": float(intercept),
+        "r_squared": 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0,
+    }, res)
+
+
+def _probe_rotation(n_atoms: int, c: float, s: float) -> np.ndarray:
+    """Dicke amplitudes (2N+1,) of the product state (c|g> - i s|e>)^N.
+
+    Its |E^j> amplitude is sqrt(C(N, j)) c^(N-j) (-i s)^j, computed in log
+    space so that the binomial factor does not overflow at large N; a zero
+    power contributes 1, also when its base is 0.
+    """
+    j = np.arange(n_atoms + 1)
+    k = n_atoms - j
+    log_fact = np.array([lgamma(m + 1) for m in range(n_atoms + 1)])
+    with np.errstate(divide="ignore"):
+        log_c, log_s = np.log(abs(c)), np.log(abs(s))
+    log_amp = 0.5 * (log_fact[-1] - log_fact - log_fact[::-1])
+    log_amp += np.multiply(k, log_c, out=np.zeros(n_atoms + 1), where=k > 0)
+    log_amp += np.multiply(j, log_s, out=np.zeros(n_atoms + 1), where=j > 0)
+    phase = np.sign(c) ** k * np.sign(s) ** j * np.array([1, -1j, -1, 1j])[j % 4]
+    amps = np.exp(log_amp) * phase
+    psi = np.zeros(2 * n_atoms + 1, dtype=complex)
+    psi[0], psi[1::2] = amps[0], amps[1:]  # |E^j> at Dicke position 2j - 1
+    return psi
 
 
 def collapse_revival_demo(
@@ -521,20 +560,18 @@ def collapse_revival_demo(
     coupling laser, producing collapse and revival of the Rydberg
     population at the sqrt(j)-spread of block Rabi frequencies.
 
-    Stage 2 has no probe, so its H is block-diagonal in the dressed frame:
-    |G> alone and, per excitation number n, the 2x2 coupling block on
-    (|E^n>, |E^{n-1}R>).  The Rydberg amplitude of block n is
-    x+ e^{-iE+ t} + x- e^{-iE- t} with x± = <E^{n-1}R|±> c±, c± the
-    dressed components of the stage-1 state, so with z = x+ conj(x-) and
-    w = E+ - E-:  p_ryd(t) = sum_n |x+|^2 + |x-|^2 + 2 Re(z e^{-iwt}).
+    Stage 1 has no coupling and delta_p = 0, so it turns every atom alone:
+    g -> cos(theta) g - i sin(theta) e with theta = Omega_p t1 / 2, in
+    closed form (_probe_rotation).  Stage 2 has no probe, so its H is
+    block-diagonal in the dressed frame: |G> alone and, per excitation
+    number n, the 2x2 coupling block on (|E^n>, |E^{n-1}R>).  The Rydberg
+    amplitude of block n is x+ e^{-iE+ t} + x- e^{-iE- t} with
+    x± = <E^{n-1}R|±> c±, c± the dressed components of the stage-1 state,
+    so with z = x+ conj(x-) and w = E+ - E-:
+    p_ryd(t) = sum_n |x+|^2 + |x-|^2 + 2 Re(z e^{-iwt}).
     """
-    # stage 1: probe only; omega_c must be positive, so use a negligible value
-    h1 = build_dicke_hamiltonian(
-        LaserParams(params.omega_p, 1e-12, 0.0, 0.0), spec
-    )
-    psi0 = np.zeros(h1.shape[0], dtype=complex)
-    psi0[0] = 1.0
-    psi1 = propagate_pure(h1, psi0, [probe_pulse_time])[0]
+    theta = params.omega_p * probe_pulse_time / 2.0
+    psi1 = _probe_rotation(spec.n_atoms, cos(theta), sin(theta))
     # stage 2: coupling only, block by block in the dressed frame
     times = np.asarray(times, dtype=float)
     energies, evecs = _dressed_vectors(

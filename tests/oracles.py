@@ -7,7 +7,16 @@ from math import comb, isfinite, sin, sqrt
 import numpy as np
 from scipy.linalg import eig_banded
 
-from superatom.basis import LEVEL_E, LEVEL_G, LEVEL_R, BasisError, DickeIndex
+from superatom.basis import (
+    LEVEL_E,
+    LEVEL_G,
+    LEVEL_R,
+    BasisError,
+    DickeIndex,
+    EnsembleSpec,
+)
+from superatom.dynamics import propagate_pure
+from superatom.hamiltonians import LaserParams, build_dicke_hamiltonian
 
 
 def effective_two_level(params, spec):
@@ -40,6 +49,20 @@ def collapse_revival_p_ryd(n_atoms, omega_p, omega_c, probe_pulse_time, times):
     weights = np.array([comb(n_atoms, k) * p**k * (1 - p) ** (n_atoms - k) for k in j])
     t = np.asarray(times, dtype=float)[:, None]
     return (weights * np.sin(np.sqrt(j) * omega_c * t / 2) ** 2).sum(axis=1)
+
+
+def probe_stage_state(n_atoms, omega_p, probe_pulse_time):
+    """Dicke amplitudes after the collapse-revival demo's probe stage,
+    through propagate_pure on the probe-only Dicke H from |G>: the path the
+    demo took before its closed form.  LaserParams refuses omega_c = 0, so
+    the coupling is a 1e-12 stand-in, which moves up to about
+    1e-12 * sqrt(N) * t1 / 2 of amplitude into the |E^{j-1}R> states."""
+    h1 = build_dicke_hamiltonian(
+        LaserParams(omega_p, 1e-12, 0.0, 0.0), EnsembleSpec(n_atoms)
+    )
+    psi0 = np.zeros(h1.shape[0], dtype=complex)
+    psi0[0] = 1.0
+    return propagate_pure(h1, psi0, [probe_pulse_time])[0]
 
 
 def eigh_banded(h):

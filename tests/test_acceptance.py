@@ -147,9 +147,9 @@ def test_criterion_4_poisson_average():
     """lambda=100, coupling 100 MHz: fixed-N infidelity 1.14% +- 0.25 pp and
     Poisson-averaged value within 0.1 pp of it."""
     cfg = canonical(100, 100.0)
-    avg = poisson_average(cfg, PoissonEnsemble.from_mean(100.0))
-    fixed = avg.fixed_n.infidelity
-    gap = abs(avg.mean_infidelity - fixed)
+    summary = poisson_average(cfg, PoissonEnsemble.from_mean(100.0)).summary
+    fixed = summary["fixed_n_infidelity"]
+    gap = abs(summary["mean_infidelity"] - fixed)
     checks = [abs(fixed - 0.0114) <= 0.0025, gap <= 0.001]
     ok = report(
         "4 (Poisson atom-number average)",
@@ -188,11 +188,11 @@ def test_criterion_6_decoherence_scans():
     cfg = canonical(3, 100.0)
     grid = TWO_PI * np.linspace(0.0, 1e-3, 6)  # Gamma/2pi up to 1 kHz
     scans = {
-        ch: scan_decoherence(cfg, ch, grid)
+        ch: scan_decoherence(cfg, ch, grid).summary
         for ch in ("gamma_e", "gamma_r", "gamma_d")
     }
-    r2s = {ch: s.r_squared for ch, s in scans.items()}
-    ratio = scans["gamma_e"].slope_per_decay / scans["gamma_r"].slope_per_decay
+    r2s = {ch: s["r_squared"] for ch, s in scans.items()}
+    ratio = scans["gamma_e"]["slope_per_decay"] / scans["gamma_r"]["slope_per_decay"]
     checks = [all(r2 > 0.99 for r2 in r2s.values()), abs(ratio - 5.0) <= 2.5]
     ok = report(
         "6 (decoherence scans)",

@@ -661,7 +661,10 @@ class TestMainEntry:
                                                         text):
         """A master-equation run whose T * (||H|| + ||K||) exceeds
         LINDBLAD_MAX_WORK exits 3 before any output is written; DOP853 is
-        never started."""
+        never started.  The parser no longer checks the work: a rabi run is
+        checked as its master equation starts, and a lindblad-scan at its
+        largest rate before its first point runs (the scan-gamma case would
+        otherwise start DOP853 at its first rate, 0)."""
         import scipy.integrate
 
         def refuse(*args, **kwargs):
@@ -698,15 +701,27 @@ class TestMainEntry:
          + "gamma_e_mhz = 0.00115\n"),
     ], ids=["example-config", "n4", "benchmark-rabi-n4"])
     def test_master_equation_configs_well_inside_the_work_cap(
-            self, monkeypatch, experiment, text):
+            self, tmp_path, monkeypatch, experiment, text):
         """configs/lindblad_gamma_e_n3.cfg (the criterion-6 point), its N = 4
-        twin and the benchmark's N = 4 decay run parse with a cap five times
-        lower."""
+        twin and the benchmark's N = 4 decay run pass the run's own work
+        checks with a cap five times lower: each run reaches DOP853, where
+        the test stops it.  A lindblad-scan has checked its largest rate,
+        and its first rate, by then."""
+        import scipy.integrate
+
         from superatom import dynamics
 
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", started)
         monkeypatch.setattr(dynamics, "LINDBLAD_MAX_WORK",
                             dynamics.LINDBLAD_MAX_WORK / 5)
-        parse_config(text, experiment)
+        with pytest.raises(Started):
+            run_cli(tmp_path, experiment, text)
 
     @pytest.mark.parametrize("experiment,text,key", [
         ("rabi", RABI_CFG.replace("n_atoms = 4", "n_atoms = 10000000"), "n_atoms"),
@@ -813,8 +828,8 @@ class TestMainEntry:
         norm check: exit 4, and no output."""
         from superatom import protocol
 
-        real = protocol.propagate_pure
-        monkeypatch.setattr(protocol, "propagate_pure",
+        real = protocol._probe_rotation
+        monkeypatch.setattr(protocol, "_probe_rotation",
                             lambda *args: real(*args) * (1.0 + 1e-9))
         text = (
             "n_atoms = 8\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
@@ -904,6 +919,70 @@ class TestEveryKeyReachesTheRun:
         assert self.recorded_calls(tmp_path / "a", monkeypatch, experiment,
                                    with_key) != self.recorded_calls(
             tmp_path / "b", monkeypatch, experiment, without)
+
+
+class TestOneResolutionPerRun:
+    """protocol is the one module that resolves a config, and it resolves
+    each config once: a scan once for its unscanned config and once per
+    point, every other run once."""
+
+    @pytest.mark.parametrize("name,resolutions", [
+        ("scan_delta_c_n3", 40),  # 39 points
+        ("scan_omega_c_n3", 8),  # 7 points
+        ("poisson_n100", 1),  # every atom number runs the N = 100 resolution
+        ("lindblad_gamma_e_n3", 1),  # the rates do not enter the resolution
+        ("rabi_n4", 1),
+    ])
+    def test_one_reduction_per_resolution(self, tmp_path, monkeypatch, name,
+                                          resolutions):
+        """Spies on resolve_protocol, the reduction and the |2+> build while
+        cli.main runs an example config: none happens while parsing, each
+        resolution makes one reduction and one |2+>, and a run makes no
+        resolution beyond its points'."""
+        from superatom import config, protocol
+
+        calls = []
+
+        def spy(module, fn_name):
+            real = getattr(module, fn_name)
+
+            def counted(*args, **kwargs):
+                calls.append(fn_name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, fn_name, counted)
+
+        spy(protocol, "resolve_protocol")
+        spy(protocol, "second_order_reduction")
+        spy(protocol, "_two_plus_in_dicke")
+        real_parse = config.parse_config
+
+        def parse(*args):
+            before = len(calls)
+            rc = real_parse(*args)
+            assert len(calls) == before, "the parser resolved or reduced"
+            return rc
+
+        monkeypatch.setattr("superatom.cli.parse_config", parse)
+        text = (Path(__file__).parents[1] / "configs" / f"{name}.cfg").read_text()
+        experiment = re.search(r"^experiment = (\S+)", text, re.M).group(1)
+        code, _ = run_cli(tmp_path, experiment, text)
+        assert code == 0
+        assert {k: calls.count(k) for k in set(calls)} == {
+            "resolve_protocol": resolutions,
+            "second_order_reduction": resolutions,
+            "_two_plus_in_dicke": resolutions,
+        }
+
+    def test_resolution_has_one_home(self):
+        """The parser holds no resolution, product H, jump operators or work
+        check, and the CLI no resolution."""
+        from superatom import cli, config
+
+        for name in ("resolve_protocol", "build_product_hamiltonian",
+                     "lindblad_operators", "check_lindblad_work"):
+            assert not hasattr(config, name), name
+        assert not hasattr(cli, "resolve_protocol")
 
 
 # Runs cli.main on each argv of argv[1] (a JSON list) in a fresh interpreter,

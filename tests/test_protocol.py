@@ -5,7 +5,12 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import collapse_revival_p_ryd, effective_two_level, enumerate_dicke
+from oracles import (
+    collapse_revival_p_ryd,
+    effective_two_level,
+    enumerate_dicke,
+    probe_stage_state,
+)
 from superatom import cli, protocol
 from superatom.basis import EnsembleSpec, dicke_labels, symmetrizer
 from superatom.dynamics import DecoherenceRates, NumericalFailure, propagate_pure
@@ -347,7 +352,7 @@ class TestScans:
                                         TWO_PI * np.array([20.0, 60.0])).rows)
         elif scan == "poisson":
             cfg = canonical_config(n_atoms=30, omega_c_mhz=50.0)
-            n_points = len(poisson_average(cfg, PoissonEnsemble.from_mean(30.0)).per_n)
+            n_points = len(poisson_average(cfg, PoissonEnsemble.from_mean(30.0)).rows)
         else:
             cfg = canonical_config(n_atoms=2, pulse_time=0.5)
             n_points = len(scan_decoherence(cfg, "gamma_e", [0.0, TWO_PI * 0.01]).rows)
@@ -400,20 +405,24 @@ class TestPoisson:
     def test_poisson_average_structure(self):
         cfg = canonical_config(n_atoms=30, omega_c_mhz=50.0)
         avg = poisson_average(cfg, PoissonEnsemble.from_mean(30.0))
-        assert 0 < avg.mean_success < 1
-        assert avg.fixed_n.x == 30
+        summary = avg.summary
+        assert 0 < summary["mean_success"] < 1
+        fixed = next(r for r in avg.rows if r.x == 30)
+        assert summary["fixed_n_success"] == fixed.success
+        assert summary["fixed_n_infidelity"] == fixed.infidelity
         # herald weighting reweights by success, so the two means differ
-        assert avg.mean_infidelity != avg.unconditional_mean_infidelity
+        assert summary["mean_infidelity"] != summary["unconditional_mean_infidelity"]
         ns, ws = PoissonEnsemble.from_mean(30.0).weights()
-        assert [r.x for r in avg.per_n] == ns.tolist()
-        assert avg.weights.tolist() == ws.tolist()
+        assert [r.x for r in avg.rows] == ns.tolist()
+        assert [r.extra["weight"] for r in avg.rows] == ws.tolist()
+        assert avg.resolved == resolve_protocol(cfg)
 
     def test_truncation_window_insensitive(self):
         cfg = canonical_config(n_atoms=30, omega_c_mhz=50.0)
         a = poisson_average(cfg, PoissonEnsemble.from_mean(30.0, 6.0))
         b = poisson_average(cfg, PoissonEnsemble.from_mean(30.0, 8.0))
-        assert a.mean_infidelity == pytest.approx(b.mean_infidelity, rel=1e-6)
-        assert a.mean_success == pytest.approx(b.mean_success, rel=1e-6)
+        for key in ("mean_infidelity", "mean_success"):
+            assert a.summary[key] == pytest.approx(b.summary[key], rel=1e-6)
 
 
 class TestCollapseRevival:
@@ -457,11 +466,8 @@ class TestCollapseRevival:
     def _whole_chain(cls, spec, params):
         """p_ryd of stage 2 through propagate_pure on the whole stage-2
         Dicke H, the path collapse_revival_demo took before the dressed
-        frame."""
-        h1 = build_dicke_hamiltonian(LaserParams(params.omega_p, 1e-12, 0.0, 0.0), spec)
-        psi0 = np.zeros(h1.shape[0], dtype=complex)
-        psi0[0] = 1.0
-        psi1 = propagate_pure(h1, psi0, [cls.PULSE])[0]
+        frame, from the propagated stage-1 state."""
+        psi1 = probe_stage_state(spec.n_atoms, params.omega_p, cls.PULSE)
         h2 = build_dicke_hamiltonian(params.replace(omega_p=0.0, delta_p=0.0), spec)
         pops = np.abs(propagate_pure(h2, psi1, cls.TIMES)) ** 2
         _, s = dicke_labels(spec.n_atoms)
@@ -486,7 +492,7 @@ class TestCollapseRevival:
         rng = np.random.default_rng(n_atoms)
         psi1 = rng.normal(size=2 * n_atoms + 1) + 1j * rng.normal(size=2 * n_atoms + 1)
         psi1 /= np.linalg.norm(psi1)
-        monkeypatch.setattr(protocol, "propagate_pure", lambda *args: psi1[None, :])
+        monkeypatch.setattr(protocol, "_probe_rotation", lambda *args: psi1)
         spec = EnsembleSpec(n_atoms)
         params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0,
                              delta_c_ratio * self.OMEGA_C)
@@ -510,34 +516,63 @@ class TestCollapseRevival:
         assert np.max(np.abs(self._whole_chain(spec, params) - want)) <= 1e-10
 
     def test_stage_two_needs_no_large_eigh(self, monkeypatch):
-        """Stage 1 calls propagate_pure once; after it returns, the only
+        """Stage 1 calls _probe_rotation once; after it returns, the only
         eigh is the batched stack of 2x2 coupling blocks."""
         events = []
-        real_eigh, real_propagate = np.linalg.eigh, protocol.propagate_pure
+        real_eigh, real_rotation = np.linalg.eigh, protocol._probe_rotation
 
         def eigh(a, *args, **kwargs):
             events.append(np.shape(a))
             return real_eigh(a, *args, **kwargs)
 
-        def propagate(*args, **kwargs):
-            out = real_propagate(*args, **kwargs)
-            events.append("propagate_pure")
+        def rotation(*args, **kwargs):
+            out = real_rotation(*args, **kwargs)
+            events.append("_probe_rotation")
             return out
 
         monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(protocol, "propagate_pure", propagate)
+        monkeypatch.setattr(protocol, "_probe_rotation", rotation)
         params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
         collapse_revival_demo(EnsembleSpec(100), params, self.PULSE, self.TIMES)
-        assert events.count("propagate_pure") == 1
-        stage_two = events[events.index("propagate_pure") + 1:]
+        assert events.count("_probe_rotation") == 1
+        stage_two = events[events.index("_probe_rotation") + 1:]
         assert stage_two == [(100, 2, 2)]
+
+    @pytest.mark.parametrize("probe_angle", [np.pi / 3, np.pi, 2 * np.pi],
+                             ids=["criterion-9", "pi", "two-pi"])
+    @pytest.mark.parametrize("n_atoms", [1, 2, 20, 100])
+    def test_stage_one_matches_propagation(self, n_atoms, probe_angle):
+        """The closed-form stage 1 against propagate_pure on the probe-only
+        Dicke H (Omega_p t1 = probe_angle): every |E^j> amplitude agrees in
+        modulus and phase to 1e-12.  The closed form has no Rydberg
+        amplitude; the oracle's only Rydberg amplitude is what its 1e-12
+        coupling stand-in moves there, at most 1e-12 sqrt(N) t1."""
+        t1 = probe_angle / self.OMEGA_P
+        want = probe_stage_state(n_atoms, self.OMEGA_P, t1)
+        theta = probe_angle / 2
+        got = protocol._probe_rotation(n_atoms, np.cos(theta), np.sin(theta))
+        _, s = dicke_labels(n_atoms)
+        assert np.max(np.abs(got[s == 0] - want[s == 0])) <= 1e-12
+        assert not got[s == 1].any()
+        assert np.max(np.abs(want[s == 1]), initial=0.0) <= 1e-12 * np.sqrt(n_atoms) * t1
+
+    @pytest.mark.parametrize("c,s,j", [(1.0, 0.0, 0), (-1.0, 0.0, 0),
+                                       (0.0, 1.0, 7), (0.0, -1.0, 7)])
+    def test_stage_one_exact_at_a_pole(self, c, s, j):
+        """With sin or cos exactly 0, all of the state sits on one |E^j>
+        with amplitude c^7 or (-i s)^7, and every other amplitude is
+        exactly 0 (a zero power of log 0 would be NaN)."""
+        psi = protocol._probe_rotation(7, c, s)
+        want = np.zeros(15, dtype=complex)
+        want[max(2 * j - 1, 0)] = c**7 if j == 0 else (-1j * s) ** 7
+        assert np.array_equal(psi, want)
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
     def test_stage_one_norm_checked(self, monkeypatch, scale):
         """A stage-1 state off the unit sphere, or not finite, fails the
         dressed frame's norm check."""
-        real = protocol.propagate_pure
-        monkeypatch.setattr(protocol, "propagate_pure",
+        real = protocol._probe_rotation
+        monkeypatch.setattr(protocol, "_probe_rotation",
                             lambda *args: real(*args) * scale)
         params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
         with pytest.raises(NumericalFailure, match="norm not conserved"):
