@@ -3,11 +3,14 @@
 # Both trees run this checkout's scripts/run_all.sh, and the benchmark's
 # configs that this checkout's benchmarks/workloads.py makes: sweep at
 # seeds 0-3, trajectory at 0-2, and lindblad and ion_mc at 0.  The two
-# result directories are then diffed, ignoring the timestamp in
+# result directories are then compared, ignoring the timestamp in
 # summary.json.
 # Prints nothing (exit 0) when every CSV is byte-identical and every
-# summary.json differs only in its timestamp.  REV is unpacked with
-# `git archive`; temporary files go under $TMPDIR (default /tmp).
+# summary.json differs only in its timestamp.  Otherwise prints one line
+# per moved CSV cell (run, file, row, column, old -> new, |delta|), per
+# changed summary.json leaf (its key path) and per file that only one
+# side wrote, then exits 1.  REV is unpacked with `git archive`;
+# temporary files go under $TMPDIR (default /tmp).
 # Usage: scripts/ab_outputs.sh REV
 set -euo pipefail
 
@@ -49,4 +52,67 @@ outputs() { # tree results_dir
 
 outputs "$tmp/rev" "$tmp/A"
 outputs "$root" "$tmp/B"
-diff -r -I '"timestamp"' "$tmp/A" "$tmp/B"
+python3 - "$tmp/A" "$tmp/B" <<'EOF'
+import csv
+import json
+import sys
+from pathlib import Path
+
+a_root, b_root = Path(sys.argv[1]), Path(sys.argv[2])
+
+
+def files(root):
+    return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+
+
+def leaves(obj, path=""):
+    """{key path: value} of every leaf of a JSON document."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return {path: obj}
+    out = {}
+    for k, v in items:
+        out.update(leaves(v, f"{path}.{k}" if path else str(k)))
+    return out
+
+
+def delta(old, new):
+    try:
+        return f"  |d| {abs(float(new) - float(old)):.3g}"
+    except ValueError:  # an empty (undefined) cell
+        return ""
+
+
+lines = []
+a_files, b_files = files(a_root), files(b_root)
+for rel in sorted(a_files ^ b_files):
+    lines.append(f"{rel}: only in {'REV' if rel in a_files else 'the working tree'}")
+for rel in sorted(a_files & b_files):
+    a, b = a_root / rel, b_root / rel
+    run, name = rel.parent, rel.name
+    if rel.suffix == ".json":
+        old, new = (leaves(json.loads(f.read_text())) for f in (a, b))
+        for key in sorted(old.keys() | new.keys()):
+            if key != "timestamp" and old.get(key) != new.get(key):
+                lines.append(f"{run} {name} {key}: {old.get(key)!r} -> "
+                             f"{new.get(key)!r}")
+    elif rel.suffix == ".csv":
+        old, new = (list(csv.reader(f.open())) for f in (a, b))
+        if old[:1] != new[:1] or len(old) != len(new):
+            lines.append(f"{run} {name}: header or row count differs")
+            continue
+        header = old[0]
+        for i, (ro, rn) in enumerate(zip(old[1:], new[1:]), start=1):
+            for col, co, cn in zip(header, ro, rn):
+                if co != cn:
+                    lines.append(f"{run} {name} row {i} {col}: {co or '(empty)'} "
+                                 f"-> {cn or '(empty)'}{delta(co, cn)}")
+    elif a.read_bytes() != b.read_bytes():
+        lines.append(f"{run} {name}: differs")
+for line in lines:
+    print(line)
+sys.exit(1 if lines else 0)
+EOF

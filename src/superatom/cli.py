@@ -34,7 +34,7 @@ from . import __version__
 from .basis import BasisError, CapacityError, EnsembleSpec
 from .config import EXPERIMENTS, ConfigError, ion_config, parse_config, protocol_config
 from .dynamics import NumericalFailure, Trajectory
-from .hamiltonians import TWO_PI, LaserParams
+from .hamiltonians import TWO_PI
 from .ion_escape import simulate_escape
 from .protocol import (
     PoissonEnsemble,
@@ -202,15 +202,11 @@ def _run_ion_mc(rc):
 
 def _run_jc_demo(rc):
     v = rc.values
-    spec = EnsembleSpec(v["n_atoms"])
-    params = LaserParams(
-        omega_p=TWO_PI * v["omega_p_mhz"],
-        omega_c=TWO_PI * v["omega_c_mhz"],
-        delta_p=0.0,
-        delta_c=0.0,
-    )
     times = np.linspace(0.0, v["total_time_us"], v["n_times"])[1:]
-    traj = collapse_revival_demo(spec, params, v["probe_pulse_time_us"], times)
+    traj = collapse_revival_demo(
+        EnsembleSpec(v["n_atoms"]), TWO_PI * v["omega_p_mhz"],
+        TWO_PI * v["omega_c_mhz"], v["probe_pulse_time_us"], times,
+    )
     return (
         "trajectory.csv",
         *_trajectory_table(traj),

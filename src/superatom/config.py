@@ -48,6 +48,7 @@ class ConfigError(ValueError):
 MAX_FREQUENCY_MHZ = 1e9  # every *_mhz key: 1 PHz, above optical frequencies
 MAX_FIELD_V_PER_M = 1e12  # above the atomic unit of field, 5.1e11 V/m
 MAX_RAMP_TIME_NS = 1e9  # 1 s
+MAX_TIME_US = 1e9  # 1000 s: pulse_time_us, probe_pulse_time_us, total_time_us
 MAX_SOFTENING_RADIUS_UM = 1e6  # 1 m
 MAX_TRAP_DIAMETER_UM = 1e6  # 1 m
 # Nine decades above Sr's 4.1e-39; at 1e300 every spectator phase overflows.
@@ -114,7 +115,8 @@ _N_ATOMS = Key(_int(2), required=True)  # |2+> holds two excitations
 _OMEGA_C = Key(_mhz(0, lo_open=True), required=True)
 _TARGET = Key(_mhz(0, lo_open=True), required=True)
 _DELTA_P = {"delta_p_mhz": Key(_mhz())}  # absent -> resonance + compensation
-_PULSE = {"pulse_time_us": Key(_float(0, lo_open=True))}  # absent -> pi-pulse
+_TIME_US = _float(0, MAX_TIME_US, lo_open=True)
+_PULSE = {"pulse_time_us": Key(_TIME_US)}  # absent -> pi-pulse
 _RATE_KEYS = ("gamma_e_mhz", "gamma_r_mhz", "gamma_d_mhz", "gamma_coll_mhz")
 # model absent -> protocol_config's default rule
 _DECAY = {
@@ -204,8 +206,8 @@ SCHEMAS: dict[str, tuple[dict, list]] = {
             "n_atoms": Key(_int(1), required=True),
             "omega_p_mhz": Key(_mhz(0, lo_open=True), required=True),
             "omega_c_mhz": Key(_mhz(0, lo_open=True), required=True),
-            "probe_pulse_time_us": Key(_float(0, lo_open=True), required=True),
-            "total_time_us": Key(_float(0, lo_open=True), required=True),
+            "probe_pulse_time_us": Key(_TIME_US, required=True),
+            "total_time_us": Key(_TIME_US, required=True),
             "n_times": Key(_int(2), default=801),
         },
         [],

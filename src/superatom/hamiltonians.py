@@ -156,28 +156,6 @@ def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarr
     return _dicke_chain(params, spec.n_atoms, spec.n_atoms)
 
 
-def _dressed_vectors(
-    params: LaserParams, n: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize the coupling-laser 2x2 blocks at excitation numbers n.
-
-    Block basis is (|E^n R^0>, |E^{n-1} R^1>) with diagonal
-    (-n*delta_p, -n*delta_p - delta_c) and off-diagonal sqrt(n)*Omega_c/2.
-    One batched eigh over the (len(n), 2, 2) stack.  Returns the energies
-    (len(n), 2) and eigenvectors (len(n), 2, 2), columns (minus, plus) in
-    ascending energy, each vector signed so that its |E^n> component is >= 0.
-    """
-    off = np.sqrt(n) * params.omega_c / 2.0
-    blocks = np.empty((len(n), 2, 2))
-    blocks[:, 0, 0] = -n * params.delta_p
-    blocks[:, 0, 1] = off
-    blocks[:, 1, 0] = off
-    blocks[:, 1, 1] = -n * params.delta_p - params.delta_c
-    energies, evecs = np.linalg.eigh(blocks)
-    evecs *= np.where(evecs[:, :1, :] < 0, -1.0, 1.0)
-    return energies, evecs
-
-
 def resonance_probe_detuning(omega_c: float, delta_c: float) -> float:
     """Probe detuning that tunes the dressed state |2+> to zero energy.
 
@@ -195,10 +173,21 @@ def dicke_to_dressed(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
 
     Column ordering mirrors the Dicke ordering: |G>, then per excitation
     number n the "+" branch in the (n, 0) slot and the "-" branch in the
-    (n-1, 1) slot, which is the next position.
+    (n-1, 1) slot, which is the next position.  Block n is the coupling
+    laser's 2x2 block on (|E^n R^0>, |E^{n-1} R^1>), with diagonal
+    (-n*delta_p, -n*delta_p - delta_c) and off-diagonal sqrt(n)*Omega_c/2;
+    one batched eigh diagonalizes every block, and each vector is signed so
+    that its |E^n> component is >= 0.
     """
     n = np.arange(1, spec.n_atoms + 1)
-    _, evecs = _dressed_vectors(params, n)
+    off = np.sqrt(n) * params.omega_c / 2.0
+    blocks = np.empty((len(n), 2, 2))
+    blocks[:, 0, 0] = -n * params.delta_p
+    blocks[:, 0, 1] = off
+    blocks[:, 1, 0] = off
+    blocks[:, 1, 1] = -n * params.delta_p - params.delta_c
+    _, evecs = np.linalg.eigh(blocks)  # columns (minus, plus), ascending
+    evecs *= np.where(evecs[:, :1, :] < 0, -1.0, 1.0)
     a = 2 * n - 1  # position of |E^n R^0>
     u = np.zeros((dicke_dimension(spec.n_atoms),) * 2)
     u[0, 0] = 1.0

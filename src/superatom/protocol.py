@@ -3,7 +3,10 @@
 A run prepares |G>, applies a constant probe pulse (default a pi-pulse of
 the effective two-level model), and reads out the herald observables:
 success probability (total Rydberg population) and false-herald fraction
-(Rydberg population outside |ER> over total Rydberg population).
+(Rydberg population outside |ER> over total Rydberg population).  The
+parameter studies scan the coupling laser, the atom number and the decay
+rates; the collapse-revival demo evaluates the resonant Jaynes-Cummings
+law of the collective |E^j> ladder in closed form.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .dynamics import (
 from .hamiltonians import (
     TWO_PI,
     LaserParams,
-    _dressed_vectors,
     _two_plus_in_dicke,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
@@ -106,6 +108,11 @@ class ProtocolResult:
     resolved: ResolvedProtocol
 
 
+def _check_omega_eff(omega_eff: float) -> None:
+    if not 0.0 < omega_eff < inf:
+        raise BasisError(f"effective coupling {omega_eff} is not positive and finite")
+
+
 def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
     """Solve omega_p, delta_p and the pulse time from the configured knobs,
     with one second-order reduction."""
@@ -128,8 +135,7 @@ def resolve_protocol(cfg: ProtocolConfig) -> ResolvedProtocol:
     else:
         delta_p = params.delta_p
     final = probe.replace(delta_p=delta_p)
-    if not 0.0 < omega_eff < inf:
-        raise BasisError(f"effective coupling {omega_eff} is not positive and finite")
+    _check_omega_eff(omega_eff)
     pulse_time = cfg.pulse_time if cfg.pulse_time is not None else pi / omega_eff
     if not pulse_time < inf:
         raise BasisError(f"pulse time {pulse_time} us is not finite")
@@ -402,22 +408,17 @@ def poisson_average(
     ref = resolve_protocol(replace(cfg, spec=EnsembleSpec(lam)))
 
     ns, ws = ensemble.weights()
-    if model == "effective2":  # the only model that reads the per-N reduction
-        pts = [
-            ProtocolConfig(
-                spec=EnsembleSpec(int(n)),
-                params=ref.params,
-                rates=cfg.rates,
-                pulse_time=ref.pulse_time,
-            )
-            for n in ns
-        ]
-    else:  # the N = mean resolution at every N, with no reduction read
-        pts = [
-            replace(ref, spec=EnsembleSpec(int(n)), omega_eff=nan, delta_eff=nan)
-            for n in ns
-        ]
-    rows = [_scan_row(n, c, model, weight=w) for n, c, w in zip(ns, pts, ws)]
+    probe = ref.params.replace(delta_p=ref.delta_p_resonance)
+
+    def point(n):  # the N = mean resolution at N; only effective2 reads a reduction
+        spec = EnsembleSpec(int(n))
+        if model != "effective2":
+            return replace(ref, spec=spec, omega_eff=nan, delta_eff=nan)
+        omega_eff, delta_eff = second_order_reduction(probe, spec)
+        _check_omega_eff(omega_eff)
+        return replace(ref, spec=spec, omega_eff=omega_eff, delta_eff=delta_eff)
+
+    rows = [_scan_row(n, point(n), model, weight=w) for n, w in zip(ns, ws)]
     if all(r.infidelity is None for r in rows):
         raise NumericalFailure(
             f"infidelity undefined at every atom number N = {ns[0]}..{ns[-1]}"
@@ -525,71 +526,52 @@ def scan_decoherence(cfg: ProtocolConfig, which: str, grid) -> ScanResult:
     }, res)
 
 
-def _probe_rotation(n_atoms: int, c: float, s: float) -> np.ndarray:
-    """Dicke amplitudes (2N+1,) of the product state (c|g> - i s|e>)^N.
+def _binomial_weights(n_atoms: int, c: float, s: float) -> np.ndarray:
+    """P_j = C(N, j) c^(2(N-j)) s^(2j) for j = 0..N: the |E^j> weights of
+    the product state (c|g> - i s|e>)^N.
 
-    Its |E^j> amplitude is sqrt(C(N, j)) c^(N-j) (-i s)^j, computed in log
-    space so that the binomial factor does not overflow at large N; a zero
-    power contributes 1, also when its base is 0.
+    Computed in log space so that the binomial factor does not overflow at
+    large N; a zero power contributes 1, also when its base is 0.
     """
     j = np.arange(n_atoms + 1)
     k = n_atoms - j
     log_fact = np.array([lgamma(m + 1) for m in range(n_atoms + 1)])
     with np.errstate(divide="ignore"):
-        log_c, log_s = np.log(abs(c)), np.log(abs(s))
-    log_amp = 0.5 * (log_fact[-1] - log_fact - log_fact[::-1])
-    log_amp += np.multiply(k, log_c, out=np.zeros(n_atoms + 1), where=k > 0)
-    log_amp += np.multiply(j, log_s, out=np.zeros(n_atoms + 1), where=j > 0)
-    phase = np.sign(c) ** k * np.sign(s) ** j * np.array([1, -1j, -1, 1j])[j % 4]
-    amps = np.exp(log_amp) * phase
-    psi = np.zeros(2 * n_atoms + 1, dtype=complex)
-    psi[0], psi[1::2] = amps[0], amps[1:]  # |E^j> at Dicke position 2j - 1
-    return psi
+        log_c, log_s = 2.0 * np.log(abs(c)), 2.0 * np.log(abs(s))
+    log_w = log_fact[-1] - log_fact - log_fact[::-1]
+    log_w += np.multiply(k, log_c, out=np.zeros(n_atoms + 1), where=k > 0)
+    log_w += np.multiply(j, log_s, out=np.zeros(n_atoms + 1), where=j > 0)
+    return np.exp(log_w)
 
 
 def collapse_revival_demo(
     spec: EnsembleSpec,
-    params: LaserParams,
+    omega_p: float,
+    omega_c: float,
     probe_pulse_time: float,
     times,
 ) -> Trajectory:
-    """Two-stage Jaynes-Cummings demo on the super-atom.
+    """Resonant two-stage Jaynes-Cummings demo on the super-atom.
 
-    Stage 1 (coupling off) prepares a binomial-like superposition over the
-    |E^j> ladder from |G>; stage 2 (probe off) evolves it under the
-    coupling laser, producing collapse and revival of the Rydberg
-    population at the sqrt(j)-spread of block Rabi frequencies.
-
-    Stage 1 has no coupling and delta_p = 0, so it turns every atom alone:
-    g -> cos(theta) g - i sin(theta) e with theta = Omega_p t1 / 2, in
-    closed form (_probe_rotation).  Stage 2 has no probe, so its H is
-    block-diagonal in the dressed frame: |G> alone and, per excitation
-    number n, the 2x2 coupling block on (|E^n>, |E^{n-1}R>).  The Rydberg
-    amplitude of block n is x+ e^{-iE+ t} + x- e^{-iE- t} with
-    x± = <E^{n-1}R|±> c±, c± the dressed components of the stage-1 state,
-    so with z = x+ conj(x-) and w = E+ - E-:
-    p_ryd(t) = sum_n |x+|^2 + |x-|^2 + 2 Re(z e^{-iwt}).
+    Stage 1, the probe alone at delta_p = 0, turns every atom by itself:
+    g -> cos(theta) g - i sin(theta) e with theta = Omega_p t1 / 2, so
+    |E^j> holds the binomial weight P_j (_binomial_weights).  Stage 2, the
+    coupling laser alone at delta_c = 0, flops each |E^j> with |E^{j-1}R>
+    at sqrt(j) Omega_c, which gives collapse and revival of
+    p_ryd(t) = sum_j P_j sin^2(sqrt(j) Omega_c t / 2)
+    (Eberly, Narozhny & Sanchez-Mondragon, PRL 44, 1323 (1980)).
     """
-    theta = params.omega_p * probe_pulse_time / 2.0
-    psi1 = _probe_rotation(spec.n_atoms, cos(theta), sin(theta))
-    # stage 2: coupling only, block by block in the dressed frame
+    theta = omega_p * probe_pulse_time / 2.0
+    weights = _binomial_weights(spec.n_atoms, cos(theta), sin(theta))
+    # "not <=" so that a NaN sum fails the check
+    if not abs(weights.sum() - 1.0) <= NORM_TOL:
+        raise NumericalFailure("norm not conserved by the probe stage")
     times = np.asarray(times, dtype=float)
-    energies, evecs = _dressed_vectors(
-        params.replace(omega_p=0.0, delta_p=0.0), np.arange(1, spec.n_atoms + 1)
-    )
-    # block n holds Dicke positions (2n-1, 2n); its dressed components
-    # (c-, c+) are V^T times that pair
-    c = np.einsum("nab,na->nb", evecs, psi1[1:].reshape(-1, 2))
-    norm = abs(psi1[0]) ** 2 + np.sum(np.abs(c) ** 2)
-    # "not <=" so that a NaN norm fails the check
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise NumericalFailure("norm not conserved in the dressed frame")
-    x = evecs[:, 1, :] * c
-    z = x[:, 1] * x[:, 0].conj()
-    phase = np.outer(times, energies[:, 1] - energies[:, 0])
-    beat = np.cos(phase) @ z.real
-    beat += np.sin(phase, out=phase) @ z.imag
-    p_ryd = np.sum(np.abs(x) ** 2) + 2.0 * beat
+    half_rabi = np.sqrt(np.arange(1, spec.n_atoms + 1)) * (omega_c / 2.0)
+    sines = np.multiply.outer(times, half_rabi)  # (T, N), squared in place
+    np.sin(sines, out=sines)
+    np.square(sines, out=sines)
+    p_ryd = sines @ weights[1:]
     if not np.isfinite(p_ryd).all():
-        raise NumericalFailure("non-finite Rydberg population in the dressed frame")
+        raise NumericalFailure("non-finite Rydberg population")
     return Trajectory(times=times, populations={"p_ryd": p_ryd})

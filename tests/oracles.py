@@ -14,6 +14,7 @@ from superatom.basis import (
     BasisError,
     DickeIndex,
     EnsembleSpec,
+    dicke_labels,
 )
 from superatom.dynamics import propagate_pure
 from superatom.hamiltonians import LaserParams, build_dicke_hamiltonian
@@ -82,6 +83,20 @@ def whole_chain_states(h, psi0, times):
     evals, evecs = eigh_banded(h)
     c0 = evecs.conj().T @ psi0
     return (np.exp(-1j * np.outer(times, evals)) * c0) @ evecs.T
+
+
+def whole_chain_p_ryd(n_atoms, omega_p, omega_c, probe_pulse_time, times,
+                      delta_c=0.0):
+    """Rydberg population of the collapse-revival demo by propagation: the
+    probe stage through probe_stage_state, then the whole coupling-only
+    Dicke H (detuned by delta_c) through whole_chain_states."""
+    psi1 = probe_stage_state(n_atoms, omega_p, probe_pulse_time)
+    h2 = build_dicke_hamiltonian(
+        LaserParams(0.0, omega_c, 0.0, delta_c), EnsembleSpec(n_atoms)
+    )
+    _, s = dicke_labels(n_atoms)
+    states = whole_chain_states(h2, psi1, np.asarray(times, dtype=float))
+    return (np.abs(states[:, s == 1]) ** 2).sum(axis=1)
 
 
 # The tuple/dict product basis and the per-(state, atom) loops that the

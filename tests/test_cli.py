@@ -619,24 +619,33 @@ class TestMainEntry:
          "differential_polarizability_si"),
         ("ion-mc", "n_trajectories = 1\ntrap_volume_um3 = 1e60\n", "trap_volume_um3"),
         ("ion-mc", "n_trajectories = 1\ntrap_diameter_um = 1e12\n", "trap_diameter_um"),
+        ("jc-demo", "n_atoms = 3\nomega_p_mhz = 1e9\nomega_c_mhz = 10\n"
+         "probe_pulse_time_us = 1e300\ntotal_time_us = 1\n", "probe_pulse_time_us"),
+        ("jc-demo", "n_atoms = 3\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
+         "probe_pulse_time_us = 0.2\ntotal_time_us = 1e305\n", "total_time_us"),
+        ("rabi", RABI_CFG + "model = dicke\npulse_time_us = 1e300\n",
+         "pulse_time_us"),
     ], ids=["ion-step", "rabi-pulse", "jc-total-time",
             "rabi-omega-c", "rabi-delta-c", "scan-dc-omega-c", "ion-softening",
             "ion-field", "ion-ramp-time", "ion-step-count", "ion-default-horizon",
             "ion-mass-underflow", "ion-mass-below-proton", "lindblad-gamma-subnormal",
-            "ion-polarizability", "ion-trap-volume", "ion-trap-diameter"])
+            "ion-polarizability", "ion-trap-volume", "ion-trap-diameter",
+            "jc-probe-pulse-overflow", "jc-total-time-overflow",
+            "rabi-pulse-overflow"])
     def test_unrunnable_value_rejected_while_parsing(self, tmp_path, capsys,
                                                       monkeypatch, experiment,
                                                       text, key):
         """An ion step above 0.1 ns or beyond ION_MAX_STEPS over the horizon,
         a duration too short for distinct output times, or a value beyond
-        its schema bounds (which would overflow or underflow) is a
-        configuration error that names its key.  No ion trajectory is
-        stepped and no master equation integrated."""
+        its schema bounds (which would overflow or underflow, such as a
+        time above MAX_TIME_US) is a configuration error that names its
+        key.  No run is started."""
         def refuse(*args, **kwargs):
             raise AssertionError("a run was started")
 
-        monkeypatch.setattr("superatom.cli.simulate_escape", refuse)
-        monkeypatch.setattr("superatom.cli.scan_decoherence", refuse)
+        for name in ("simulate_escape", "scan_decoherence", "run_protocol",
+                     "scan_delta_c", "collapse_revival_demo"):
+            monkeypatch.setattr(f"superatom.cli.{name}", refuse)
         code, out = run_cli(tmp_path, experiment, text)
         assert code == 2
         err = capsys.readouterr().err.splitlines()
@@ -824,12 +833,12 @@ class TestMainEntry:
 
     def test_jc_demo_numerical_failure_exit_code(self, tmp_path, capsys,
                                                  monkeypatch):
-        """A stage-1 state off the unit sphere fails the dressed frame's
-        norm check: exit 4, and no output."""
+        """Probe-stage weights that do not sum to 1 fail the norm check:
+        exit 4, and no output."""
         from superatom import protocol
 
-        real = protocol._probe_rotation
-        monkeypatch.setattr(protocol, "_probe_rotation",
+        real = protocol._binomial_weights
+        monkeypatch.setattr(protocol, "_binomial_weights",
                             lambda *args: real(*args) * (1.0 + 1e-9))
         text = (
             "n_atoms = 8\nomega_p_mhz = 1\nomega_c_mhz = 10\n"
@@ -838,7 +847,7 @@ class TestMainEntry:
         code, out = run_cli(tmp_path, "jc-demo", text)
         assert code == 4
         err = capsys.readouterr().err.splitlines()
-        assert err == ["numerical failure: norm not conserved in the dressed frame"]
+        assert err == ["numerical failure: norm not conserved by the probe stage"]
         assert not out.exists()
 
 
@@ -926,19 +935,23 @@ class TestOneResolutionPerRun:
     each config once: a scan once for its unscanned config and once per
     point, every other run once."""
 
-    @pytest.mark.parametrize("name,resolutions", [
-        ("scan_delta_c_n3", 40),  # 39 points
-        ("scan_omega_c_n3", 8),  # 7 points
-        ("poisson_n100", 1),  # every atom number runs the N = 100 resolution
-        ("lindblad_gamma_e_n3", 1),  # the rates do not enter the resolution
-        ("rabi_n4", 1),
-    ])
+    @pytest.mark.parametrize("name,extra,resolutions,reductions", [
+        ("scan_delta_c_n3", "", 40, 40),  # 39 points
+        ("scan_omega_c_n3", "", 8, 8),  # 7 points
+        ("poisson_n100", "", 1, 1),  # every atom number runs the N = 100 resolution
+        # effective2 also reduces at each of the 121 atom numbers
+        ("poisson_n100", "model = effective2\n", 1, 122),
+        ("lindblad_gamma_e_n3", "", 1, 1),  # the rates do not enter the resolution
+        ("rabi_n4", "", 1, 1),
+    ], ids=["scan_delta_c_n3-40", "scan_omega_c_n3-8", "poisson_n100-1",
+            "poisson_n100-effective2-1", "lindblad_gamma_e_n3-1", "rabi_n4-1"])
     def test_one_reduction_per_resolution(self, tmp_path, monkeypatch, name,
-                                          resolutions):
+                                          extra, resolutions, reductions):
         """Spies on resolve_protocol, the reduction and the |2+> build while
         cli.main runs an example config: none happens while parsing, each
-        resolution makes one reduction and one |2+>, and a run makes no
-        resolution beyond its points'."""
+        resolution makes one reduction and one |2+>, a scan-n point under
+        effective2 makes only its reduction, and a run makes no resolution
+        beyond its points'."""
         from superatom import config, protocol
 
         calls = []
@@ -966,11 +979,11 @@ class TestOneResolutionPerRun:
         monkeypatch.setattr("superatom.cli.parse_config", parse)
         text = (Path(__file__).parents[1] / "configs" / f"{name}.cfg").read_text()
         experiment = re.search(r"^experiment = (\S+)", text, re.M).group(1)
-        code, _ = run_cli(tmp_path, experiment, text)
+        code, _ = run_cli(tmp_path, experiment, text + extra)
         assert code == 0
         assert {k: calls.count(k) for k in set(calls)} == {
             "resolve_protocol": resolutions,
-            "second_order_reduction": resolutions,
+            "second_order_reduction": reductions,
             "_two_plus_in_dicke": resolutions,
         }
 

@@ -310,8 +310,8 @@ class TestBandedPropagation:
         """Stage 1 of collapse_revival_demo at N = 100 (binomial p = 1/4)
         spreads |G> over the whole ladder; propagating stage 2's Dicke H from
         that spread state takes the whole chain as its first block, and
-        gives the p_ryd that collapse_revival_demo reads in the dressed
-        frame."""
+        gives the p_ryd that collapse_revival_demo computes in closed
+        form."""
         spec = EnsembleSpec(100)
         params = LaserParams(TWO_PI * 1.0, TWO_PI * 10.0, 0.0, 0.0)
         h1 = build_dicke_hamiltonian(LaserParams(params.omega_p, 1e-12, 0.0, 0.0), spec)
@@ -321,7 +321,8 @@ class TestBandedPropagation:
         h2 = build_dicke_hamiltonian(params.replace(omega_p=0.0), spec)
         states = self._check(h2, psi1, self.TIMES, eigh_sizes, [201])
         _, s = dicke_labels(100)
-        traj = collapse_revival_demo(spec, params, 1.0 / 6.0, self.TIMES)
+        traj = collapse_revival_demo(spec, params.omega_p, params.omega_c, 1.0 / 6.0,
+                                     self.TIMES)
         want = (np.abs(states[:, s == 1]) ** 2).sum(axis=1)
         assert np.max(np.abs(traj.populations["p_ryd"] - want)) < 1e-12
 

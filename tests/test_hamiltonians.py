@@ -22,7 +22,6 @@ from superatom.hamiltonians import (
     _TWO_PLUS,
     LaserParams,
     _dicke_chain,
-    _dressed_vectors,
     _low_dressed_frame,
     _two_plus_in_dicke,
     build_dicke_hamiltonian,
@@ -390,14 +389,6 @@ class TestArrayBuildsMatchLoops:
         assert np.array_equal(
             dicke_to_dressed(params, spec), reference_dicke_to_dressed(params, spec)
         )
-
-    @settings(max_examples=30, deadline=None)
-    @given(laser_params, st.integers(1, 12))
-    def test_dressed_block(self, params, n):
-        want_energies, want_evecs = reference_dressed_block(params, n)
-        energies, evecs = _dressed_vectors(params, np.array([n]))
-        assert np.array_equal(energies[0], want_energies)
-        assert np.array_equal(evecs[0], want_evecs)
 
     @settings(max_examples=30, deadline=None)
     @given(laser_params, st.integers(1, 12))

@@ -10,6 +10,7 @@ from oracles import (
     effective_two_level,
     enumerate_dicke,
     probe_stage_state,
+    whole_chain_p_ryd,
 )
 from superatom import cli, protocol
 from superatom.basis import EnsembleSpec, dicke_labels, symmetrizer
@@ -450,10 +451,9 @@ class TestCollapseRevival:
                 )
 
     def test_demo_returns_rydberg_series(self):
-        spec = EnsembleSpec(20)
-        params = LaserParams(TWO_PI * 1.0, TWO_PI * 10.0, 0.0, 0.0)
         times = np.linspace(0.01, 4.0, 400)
-        traj = collapse_revival_demo(spec, params, 1.0 / 6.0, times)
+        traj = collapse_revival_demo(EnsembleSpec(20), TWO_PI * 1.0, TWO_PI * 10.0,
+                                     1.0 / 6.0, times)
         p = traj.populations["p_ryd"]
         assert p.shape == times.shape
         assert np.all((0 <= p) & (p <= 1 + 1e-12))
@@ -462,131 +462,81 @@ class TestCollapseRevival:
     OMEGA_P, OMEGA_C, PULSE = TWO_PI * 1.0, TWO_PI * 10.0, 1.0 / 6.0
     TIMES = np.linspace(0.0, 1.2, 1201)[1:]
 
-    @classmethod
-    def _whole_chain(cls, spec, params):
-        """p_ryd of stage 2 through propagate_pure on the whole stage-2
-        Dicke H, the path collapse_revival_demo took before the dressed
-        frame, from the propagated stage-1 state."""
-        psi1 = probe_stage_state(spec.n_atoms, params.omega_p, cls.PULSE)
-        h2 = build_dicke_hamiltonian(params.replace(omega_p=0.0, delta_p=0.0), spec)
-        pops = np.abs(propagate_pure(h2, psi1, cls.TIMES)) ** 2
-        _, s = dicke_labels(spec.n_atoms)
-        return pops[:, s == 1].sum(axis=1)
+    def _demo(self, n_atoms):
+        return collapse_revival_demo(EnsembleSpec(n_atoms), self.OMEGA_P,
+                                     self.OMEGA_C, self.PULSE, self.TIMES)
 
-    @pytest.mark.parametrize("delta_c_ratio", [0.0, 0.3, -0.3])
+    @pytest.mark.parametrize("delta_c_ratio", [0.0])  # jc-demo is resonant
     @pytest.mark.parametrize("n_atoms", [1, 2, 20, 100])
     def test_dressed_frame_matches_pure_propagation(self, n_atoms, delta_c_ratio):
-        spec = EnsembleSpec(n_atoms)
-        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0,
-                             delta_c_ratio * self.OMEGA_C)
-        traj = collapse_revival_demo(spec, params, self.PULSE, self.TIMES)
-        want = self._whole_chain(spec, params)
-        assert np.max(np.abs(traj.populations["p_ryd"] - want)) <= 1e-12
-
-    @pytest.mark.parametrize("delta_c_ratio", [0.0, -0.3])
-    @pytest.mark.parametrize("n_atoms", [1, 5])
-    def test_dressed_frame_from_any_state(self, monkeypatch, n_atoms, delta_c_ratio):
-        """A stage-1 state with Rydberg amplitude and a phase between the two
-        states of each block, which the probe alone never prepares, so the
-        sin term of the beat is exercised."""
-        rng = np.random.default_rng(n_atoms)
-        psi1 = rng.normal(size=2 * n_atoms + 1) + 1j * rng.normal(size=2 * n_atoms + 1)
-        psi1 /= np.linalg.norm(psi1)
-        monkeypatch.setattr(protocol, "_probe_rotation", lambda *args: psi1)
-        spec = EnsembleSpec(n_atoms)
-        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0,
-                             delta_c_ratio * self.OMEGA_C)
-        traj = collapse_revival_demo(spec, params, self.PULSE, self.TIMES)
-        h2 = build_dicke_hamiltonian(params.replace(omega_p=0.0), spec)
-        pops = np.abs(propagate_pure(h2, psi1, self.TIMES)) ** 2
-        _, s = dicke_labels(n_atoms)
-        want = pops[:, s == 1].sum(axis=1)
-        assert np.max(np.abs(traj.populations["p_ryd"] - want)) <= 1e-12
+        """The closed form against whole-chain propagation of the propagated
+        stage-1 state under the coupling-only Dicke H."""
+        want = whole_chain_p_ryd(n_atoms, self.OMEGA_P, self.OMEGA_C, self.PULSE,
+                                 self.TIMES, delta_c_ratio * self.OMEGA_C)
+        assert np.max(np.abs(self._demo(n_atoms).populations["p_ryd"] - want)) <= 1e-12
 
     @pytest.mark.parametrize("n_atoms", [20, 100])
     def test_closed_form(self, n_atoms):
-        """At delta_c = 0 both paths follow the closed form
-        sum_j P_j sin^2(sqrt(j) Omega_c t / 2)."""
-        spec = EnsembleSpec(n_atoms)
-        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
+        """The run and whole-chain propagation both follow the independently
+        written closed form sum_j P_j sin^2(sqrt(j) Omega_c t / 2)."""
         want = collapse_revival_p_ryd(n_atoms, self.OMEGA_P, self.OMEGA_C,
                                       self.PULSE, self.TIMES)
-        traj = collapse_revival_demo(spec, params, self.PULSE, self.TIMES)
-        assert np.max(np.abs(traj.populations["p_ryd"] - want)) <= 1e-10
-        assert np.max(np.abs(self._whole_chain(spec, params) - want)) <= 1e-10
+        got = self._demo(n_atoms).populations["p_ryd"]
+        assert np.max(np.abs(got - want)) <= 1e-10
+        chain = whole_chain_p_ryd(n_atoms, self.OMEGA_P, self.OMEGA_C, self.PULSE,
+                                  self.TIMES)
+        assert np.max(np.abs(chain - want)) <= 1e-10
 
     def test_stage_two_needs_no_large_eigh(self, monkeypatch):
-        """Stage 1 calls _probe_rotation once; after it returns, the only
-        eigh is the batched stack of 2x2 coupling blocks."""
-        events = []
-        real_eigh, real_rotation = np.linalg.eigh, protocol._probe_rotation
+        """The demo diagonalizes nothing: no eigh of any size, and no
+        propagation."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the demo diagonalized or propagated")
 
-        def eigh(a, *args, **kwargs):
-            events.append(np.shape(a))
-            return real_eigh(a, *args, **kwargs)
-
-        def rotation(*args, **kwargs):
-            out = real_rotation(*args, **kwargs)
-            events.append("_probe_rotation")
-            return out
-
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-        monkeypatch.setattr(protocol, "_probe_rotation", rotation)
-        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
-        collapse_revival_demo(EnsembleSpec(100), params, self.PULSE, self.TIMES)
-        assert events.count("_probe_rotation") == 1
-        stage_two = events[events.index("_probe_rotation") + 1:]
-        assert stage_two == [(100, 2, 2)]
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(protocol, "propagate_pure", refuse)
+        self._demo(100)
 
     @pytest.mark.parametrize("probe_angle", [np.pi / 3, np.pi, 2 * np.pi],
                              ids=["criterion-9", "pi", "two-pi"])
     @pytest.mark.parametrize("n_atoms", [1, 2, 20, 100])
     def test_stage_one_matches_propagation(self, n_atoms, probe_angle):
-        """The closed-form stage 1 against propagate_pure on the probe-only
-        Dicke H (Omega_p t1 = probe_angle): every |E^j> amplitude agrees in
-        modulus and phase to 1e-12.  The closed form has no Rydberg
-        amplitude; the oracle's only Rydberg amplitude is what its 1e-12
-        coupling stand-in moves there, at most 1e-12 sqrt(N) t1."""
+        """The closed-form |E^j> weights against the populations of
+        propagate_pure on the probe-only Dicke H (Omega_p t1 = probe_angle),
+        to 1e-12.  The weights hold no Rydberg population; the oracle's only
+        Rydberg amplitude is what its 1e-12 coupling stand-in moves there,
+        at most 1e-12 sqrt(N) t1."""
         t1 = probe_angle / self.OMEGA_P
         want = probe_stage_state(n_atoms, self.OMEGA_P, t1)
         theta = probe_angle / 2
-        got = protocol._probe_rotation(n_atoms, np.cos(theta), np.sin(theta))
+        got = protocol._binomial_weights(n_atoms, np.cos(theta), np.sin(theta))
         _, s = dicke_labels(n_atoms)
-        assert np.max(np.abs(got[s == 0] - want[s == 0])) <= 1e-12
-        assert not got[s == 1].any()
+        assert np.max(np.abs(got - np.abs(want[s == 0]) ** 2)) <= 1e-12
         assert np.max(np.abs(want[s == 1]), initial=0.0) <= 1e-12 * np.sqrt(n_atoms) * t1
 
     @pytest.mark.parametrize("c,s,j", [(1.0, 0.0, 0), (-1.0, 0.0, 0),
                                        (0.0, 1.0, 7), (0.0, -1.0, 7)])
     def test_stage_one_exact_at_a_pole(self, c, s, j):
-        """With sin or cos exactly 0, all of the state sits on one |E^j>
-        with amplitude c^7 or (-i s)^7, and every other amplitude is
-        exactly 0 (a zero power of log 0 would be NaN)."""
-        psi = protocol._probe_rotation(7, c, s)
-        want = np.zeros(15, dtype=complex)
-        want[max(2 * j - 1, 0)] = c**7 if j == 0 else (-1j * s) ** 7
-        assert np.array_equal(psi, want)
+        """With sin or cos exactly 0, all of the weight sits on |E^j>:
+        exactly 1 there and exactly 0 elsewhere (a zero power of log 0
+        would be NaN)."""
+        want = np.zeros(8)
+        want[j] = 1.0
+        assert np.array_equal(protocol._binomial_weights(7, c, s), want)
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-9, np.nan])
     def test_stage_one_norm_checked(self, monkeypatch, scale):
-        """A stage-1 state off the unit sphere, or not finite, fails the
-        dressed frame's norm check."""
-        real = protocol._probe_rotation
-        monkeypatch.setattr(protocol, "_probe_rotation",
+        """Weights that do not sum to 1, or are not finite, fail the norm
+        check."""
+        real = protocol._binomial_weights
+        monkeypatch.setattr(protocol, "_binomial_weights",
                             lambda *args: real(*args) * scale)
-        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
         with pytest.raises(NumericalFailure, match="norm not conserved"):
-            collapse_revival_demo(EnsembleSpec(20), params, self.PULSE, self.TIMES)
+            self._demo(20)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_non_finite_population_fails(self, monkeypatch):
-        real = protocol._dressed_vectors
-
-        def infinite_energies(*args):
-            energies, evecs = real(*args)
-            return energies * np.inf, evecs
-
-        monkeypatch.setattr(protocol, "_dressed_vectors", infinite_energies)
-        params = LaserParams(self.OMEGA_P, self.OMEGA_C, 0.0, 0.0)
+    def test_non_finite_population_fails(self):
+        """A coupling whose phases are not finite gives a NaN p_ryd."""
         with pytest.raises(NumericalFailure, match="non-finite"):
-            collapse_revival_demo(EnsembleSpec(20), params, self.PULSE, self.TIMES)
+            collapse_revival_demo(EnsembleSpec(20), self.OMEGA_P, np.inf,
+                                  self.PULSE, self.TIMES)
