@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Check that the working tree writes the same outputs as revision REV.
-# Both trees run this checkout's scripts/run_all.sh, and the benchmark's
-# configs that this checkout's benchmarks/workloads.py makes: sweep at
-# seeds 0-3, trajectory at 0-2, and lindblad and ion_mc at 0.  The two
+# Both trees run this checkout's scripts/run_all.sh, the benchmark's
+# configs that this checkout's benchmarks/workloads.py makes (sweep at
+# seeds 0-3, trajectory at 0-2, and lindblad and ion_mc at 0), and three
+# example configs under other models, so that every propagation path runs:
+# configs/rabi_n4.cfg under each of the five models, and poisson_n100.cfg
+# and scan_delta_c_n3.cfg under restricted6 and effective2.  The two
 # result directories are then compared, ignoring the timestamp in
 # summary.json.
 # Prints nothing (exit 0) when every CSV is byte-identical and every
@@ -24,14 +27,14 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
 cp "$root/scripts/run_all.sh" "$tmp/rev/scripts/run_all.sh"
 
 # One line per benchmark run: "<experiment> <config name>".
-python3 - "$root/benchmarks" "$tmp/cfg" >"$tmp/runs" <<'EOF'
+python3 - "$root/benchmarks" "$tmp/cfg" "$root/configs" >"$tmp/runs" <<'EOF'
 import sys
 from pathlib import Path
 
 sys.path.insert(0, sys.argv[1])
 from workloads import make_workload
 
-out = Path(sys.argv[2])
+out, configs = Path(sys.argv[2]), Path(sys.argv[3])
 out.mkdir()
 for workload, seeds in (("sweep", 4), ("trajectory", 3), ("lindblad", 1),
                        ("ion_mc", 1)):
@@ -40,6 +43,16 @@ for workload, seeds in (("sweep", 4), ("trajectory", 3), ("lindblad", 1),
             name = f"{workload}_s{seed}_{exp.label}"
             (out / f"{name}.cfg").write_text(exp.config_text())
             print(exp.experiment, name)
+for config, experiment, models in (
+    ("rabi_n4", "rabi", ("full", "dicke", "restricted6", "effective2", "lindblad")),
+    ("poisson_n100", "scan-n", ("restricted6", "effective2")),
+    ("scan_delta_c_n3", "scan-dc", ("restricted6", "effective2")),
+):
+    for model in models:
+        name = f"{config}_{model}"
+        text = (configs / f"{config}.cfg").read_text()
+        (out / f"{name}.cfg").write_text(f"{text}model = {model}\n")
+        print(experiment, name)
 EOF
 
 outputs() { # tree results_dir

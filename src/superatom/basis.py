@@ -24,11 +24,12 @@ LEVEL_G, LEVEL_E, LEVEL_R = 0, 1, 2
 # Dicke basis is the only supported representation.
 N_MAX_PRODUCT_VECTOR = 8
 N_MAX_PRODUCT_DENSITY = 4
-# The Dicke Hamiltonian is a dense (2N+1)^2 array.  At N = 2000 (one BLAS
-# thread) a rabi run peaks at 0.40 GB RSS in 0.7 s, and memory grows as
-# N^2.  A jc-demo builds no Dicke H (it is a closed form): with 1200 times
-# it peaks at 49 MB in 0.035 s.  The limit keeps the lambda = 1e3 scan-n
-# window (N <= 1190) inside.
+# The Dicke Hamiltonian is three bands of 2N+1 entries.  At N = 2000 (one
+# BLAS thread) a rabi run peaks at 54 MB RSS in 0.02 s, and only a drive
+# that carries |G> up the whole chain makes the propagator diagonalize a
+# dense (2N+1)^2 block, 128 MB.  A jc-demo builds no Dicke H (it is a
+# closed form): with 1200 times it peaks at 49 MB in 0.035 s.  The limit
+# keeps the lambda = 1e3 scan-n window (N <= 1190) inside.
 N_MAX_DICKE = 2000
 
 

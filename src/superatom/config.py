@@ -74,7 +74,7 @@ class Key:
     default: object = None
 
 
-def _float(lo=None, hi=None, lo_open=False):
+def _float(lo=None, hi=None, lo_open=False, angular=False):
     def conv(s):
         v = float(s)
         if not np.isfinite(v):
@@ -83,13 +83,17 @@ def _float(lo=None, hi=None, lo_open=False):
             raise ValueError(f"must be {'>' if lo_open else '>='} {lo:g}")
         if hi is not None and v > hi:
             raise ValueError(f"must be <= {hi:g}")
+        # a subnormal 2 pi nu underflows in the reductions' products
+        if angular and 0 < abs(TWO_PI * v) < np.finfo(float).tiny:
+            raise ValueError("2 pi times it is subnormal (|nu| < "
+                             f"{np.finfo(float).tiny / TWO_PI:.3g} MHz)")
         return v
 
     return conv
 
 
 def _mhz(lo=-MAX_FREQUENCY_MHZ, lo_open=False):
-    return _float(lo, MAX_FREQUENCY_MHZ, lo_open)
+    return _float(lo, MAX_FREQUENCY_MHZ, lo_open, angular=True)
 
 
 def _int(lo=None):

@@ -1,20 +1,18 @@
 """Time evolution: exact pure-state propagation and Lindblad master equation.
 
 Pure states under a constant Hamiltonian are propagated by spectral
-decomposition (no integrator error) of the leading K x K block of H.  The
-first block holds every position that _FIRST_BLOCK_STEPS applications of
-H can reach from psi0's support; K then grows to 2K+1 (at most dim) until
-the Duhamel bound on the leakage out of the block, T * sum_j |c_j| *
-||H[K:, :K] u_j|| with T = max |t|, is at most DROP_TOL.  In the Dicke
-ordering the block is the states with the fewest excitations; a
-Hamiltonian whose couplings reach far from the diagonal, such as a
-product-basis one, gets K = dim at once.  Of the block's eigencomponents
-only those that carry psi0 are propagated: the smallest overlaps whose
-squared moduli sum to at most DROP_TOL**2 are dropped.  Every returned
-psi(t) is therefore within 2 * DROP_TOL of exp(-iHt) psi0 in norm.  The
-protocol's full model does not hand the product-basis H to this
-propagator: it propagates the exchange-symmetric block S^T H S
-(hamiltonians.symmetric_block), 2N+1 states instead of 1,280 at N = 8.
+decomposition (no integrator error) of the leading K x K block of H.  H
+comes as its lower bands (row d holds H[i+d, i], LAPACK's symmetric band
+storage), so the propagator reads the bandwidth from the shape and builds
+no dense matrix beyond the block and the rows it leaks into.  The first
+block holds every position that _FIRST_BLOCK_STEPS applications of H can
+reach from psi0's support; K then grows to 2K+1 (at most dim) until the
+Duhamel bound on the leakage out of the block, T * sum_j |c_j| *
+||H[K:, :K] u_j|| with T = max |t|, is at most DROP_TOL.  Every returned
+psi(t) is therefore within DROP_TOL of exp(-iHt) psi0 in norm.  In the
+Dicke ordering the chain is three bands and the block is the states with
+the fewest excitations; a dense H passes through hermitian_bands, which
+checks it and returns all of its diagonals, so it gets K = dim at once.
 Density matrices evolve under
 rho' = -i[H, rho] + sum_k Gamma_k (L rho L^+ - 1/2 {L^+L, rho}) with an
 adaptive embedded Runge-Kutta integrator on the vectorized density matrix;
@@ -51,7 +49,7 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 NORM_TOL = 1e-10
-DROP_TOL = 1e-13  # norm bound on the eigencomponents pure propagation drops
+DROP_TOL = 1e-13  # norm bound on the leakage out of pure propagation's block
 TRACE_TOL = 1e-7
 HERM_TOL = 1e-8
 POSITIVITY_TOL = 1e-6
@@ -116,55 +114,50 @@ class Trajectory:
 # applications of H from psi0's support that the first leading block covers:
 # 35 positions of the Dicke chain from |G>, the states with n <= 17
 _FIRST_BLOCK_STEPS = 17
+# complex entries of the (times, K) phase arrays formed at once
+_PHASE_CHUNK = 2**16
 
 
-def _first_block(h: np.ndarray, psi0: np.ndarray) -> int:
-    """Size of the first leading block: psi0's support, widened by
-    _FIRST_BLOCK_STEPS times the bandwidth of H."""
-    nz = h != 0
-    rows = np.flatnonzero(nz.any(axis=1))
-    # last nonzero column of each nonzero row, less the row index
-    band = np.max(h.shape[0] - 1 - np.argmax(nz[rows, ::-1], axis=1) - rows, initial=0)
-    support = np.flatnonzero(psi0)
-    end = int(support[-1]) + 1 if support.size else 1
-    return min(h.shape[0], end + _FIRST_BLOCK_STEPS * int(band))
-
-
-def _carrying_indices(weights: np.ndarray) -> np.ndarray:
-    """Ascending indices of the components to keep, given weights |c_j|^2.
-
-    Drops the longest run of smallest weights whose sum is <= DROP_TOL**2.
-    The eigenvectors are orthonormal and the phases unimodular, so the
-    dropped part of psi(t) has norm sqrt(sum of dropped weights) <= DROP_TOL
-    at every t.
-    """
-    order = np.argsort(weights, kind="stable")
-    n_drop = np.searchsorted(np.cumsum(weights[order]), DROP_TOL**2, side="right")
-    return np.sort(order[n_drop:])
-
-
-def propagate_pure(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
-    """psi(t) = exp(-i H t) psi0 on a leading block of H; returns (T, dim).
-
-    The block grows from _first_block until the leakage bound
-    T * sum_j |c_j| * ||H[K:, :K] u_j|| (T = max |t|; u_j, c_j the block's
-    eigenvectors and psi0's overlaps with them) is at most DROP_TOL.
-    Eigencomponents of psi0 with a total weight <= DROP_TOL**2 are not
-    propagated, so each returned state is within 2 * DROP_TOL of
-    exp(-i H t) psi0 in norm.
-    """
-    times = np.asarray(times, dtype=float)
-    dim = h.shape[0]
-    if h.shape[0] != h.shape[1] or h.shape[0] != psi0.shape[0]:
-        raise BasisError(f"dimension mismatch: H {h.shape}, psi0 {psi0.shape}")
-    if not (np.isfinite(h).all() and np.isfinite(psi0).all()):
+def hermitian_bands(h: np.ndarray) -> np.ndarray:
+    """All diagonals of a dense Hermitian H as lower bands (dim, dim): row d
+    holds H[i+d, i] and ends in d zeros.  Raises NumericalFailure when H
+    is not finite or not Hermitian."""
+    if not np.isfinite(h).all():
         raise NumericalFailure("non-finite Hamiltonian or initial state")
     # "not <=" so that a NaN residual fails the check
     if not np.max(np.abs(h - h.conj().T)) <= 1e-10 * max(1.0, np.max(np.abs(h))):
         raise NumericalFailure("Hamiltonian is not Hermitian")
+    return np.array([np.pad(np.diagonal(h, -d), (0, d)) for d in range(len(h))])
+
+
+def leading_block(bands: np.ndarray, m: int) -> np.ndarray:
+    """Dense m x m leading block of the Hermitian H with lower bands
+    `bands` (row d holds H[i+d, i])."""
+    block = np.zeros((m, m), dtype=bands.dtype)
+    for d in range(min(len(bands), m)):
+        block[np.arange(d, m), np.arange(m - d)] = bands[d, : m - d]
+    return block + np.tril(block, -1).conj().T
+
+
+def propagate_pure(bands: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
+    """psi(t) = exp(-i H t) psi0 on a leading block of H; returns (T, dim).
+
+    bands holds the lower bands of H (row d holds H[i+d, i]).  The block
+    grows until the leakage bound T * sum_j |c_j| * ||H[K:, :K] u_j||
+    (u_j, c_j the block's eigenvectors and psi0's overlaps with them) is
+    at most DROP_TOL; see the module docstring.
+    """
+    times = np.asarray(times, dtype=float)
+    if bands.ndim != 2 or psi0.shape != bands.shape[1:]:
+        raise BasisError(f"dimension mismatch: bands {bands.shape}, psi0 {psi0.shape}")
+    if not (np.isfinite(bands).all() and np.isfinite(psi0).all()):
+        raise NumericalFailure("non-finite Hamiltonian or initial state")
+    width, dim = len(bands) - 1, bands.shape[1]
     horizon = np.max(np.abs(times), initial=0.0)
-    k = _first_block(h, psi0)
+    end = int(np.max(np.flatnonzero(psi0), initial=0)) + 1  # of psi0's support
+    k = min(dim, end + _FIRST_BLOCK_STEPS * width)
     while True:
+        h = leading_block(bands, min(dim, k + width))  # with the rows it leaks into
         try:
             evals, evecs = np.linalg.eigh(h[:k, :k])
         except np.linalg.LinAlgError as exc:
@@ -176,18 +169,18 @@ def propagate_pure(h: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
         if horizon * (np.abs(c0) @ leak) <= DROP_TOL:
             break
         k = min(dim, 2 * k + 1)
-    keep = _carrying_indices(np.abs(c0) ** 2)
-    phases = np.exp(-1j * np.outer(times, evals[keep]))
-    block = (phases * c0[keep]) @ evecs[:, keep].T
+    basis = evecs.T.astype(complex)  # cast once, not for each chunk of times
+    del h, evecs  # only the spectrum stays while the states are filled
+    states = np.zeros((len(times), dim), dtype=complex)
+    step = max(1, _PHASE_CHUNK // k)
+    for i in range(0, len(times), step):
+        phases = np.exp(-1j * np.outer(times[i : i + step], evals))
+        states[i : i + step, :k] = (phases * c0) @ basis
     # row norms without the (T, K) temporaries of np.linalg.norm
-    re, im = block.real, block.imag
+    re, im = states.real[:, :k], states.imag[:, :k]
     norms = np.sqrt(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
     if not np.max(np.abs(norms - 1.0)) <= NORM_TOL:
         raise NumericalFailure("norm not conserved in pure propagation")
-    if k == dim:
-        return block
-    states = np.zeros((len(times), dim), dtype=block.dtype)
-    states[:, :k] = block
     return states
 
 

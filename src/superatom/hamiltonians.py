@@ -34,7 +34,7 @@ from .basis import (
     single_atom_flips,
     symmetrizer,
 )
-from .dynamics import NumericalFailure
+from .dynamics import NumericalFailure, leading_block
 
 TWO_PI = 2.0 * pi
 
@@ -113,39 +113,9 @@ def symmetric_block(h: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
     return s.T @ h @ s
 
 
-def _dicke_chain(params: LaserParams, n_atoms: int, n_max: int) -> np.ndarray:
-    """The Dicke Hamiltonian of N = n_atoms on its first 2*n_max + 1
-    positions, the states with at most n_max excitations.
-
-    Within those positions every matrix element is the one of the whole
-    chain, so this is its leading block, bit for bit.
-    """
-    if n_atoms > N_MAX_DICKE:
-        raise CapacityError(f"Dicke basis for N={n_atoms} exceeds limit {N_MAX_DICKE}")
-    j, s = dicke_labels(n_max)
-    h = np.zeros((dicke_dimension(n_max),) * 2)
-    np.fill_diagonal(h, -j * params.delta_p - s * (params.delta_p + params.delta_c))
-    j0 = np.arange(n_max)
-    j1 = j0[:-1]
-    up = 2 * j0 + 1  # position of |E^{j+1} R^0>
-    ryd = up + 1  # position of |E^j R^1>
-    # probe in s=0 (from |G>, then |E^j>), probe in s=1, coupling laser
-    rows = np.concatenate([[0], up[:-1], ryd[:-1], ryd])
-    cols = np.concatenate([up, ryd[1:], up])
-    els = np.concatenate(
-        [
-            params.omega_p / 2.0 * np.sqrt((j0 + 1) * (n_atoms - j0)),
-            params.omega_p / 2.0 * np.sqrt((j1 + 1) * (n_atoms - j1 - 1)),
-            params.omega_c / 2.0 * np.sqrt(j0 + 1),
-        ]
-    )
-    h[rows, cols] = els
-    h[cols, rows] = els
-    return h
-
-
 def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
-    """Hamiltonian over the 2N+1 symmetric Dicke states.
+    """Lower bands (3, 2N+1) of the Hamiltonian over the 2N+1 symmetric
+    Dicke states: row d holds H[i+d, i], as dynamics.propagate_pure takes it.
 
     Probe couplings are collectively enhanced:
     (Omega_p/2)*sqrt((j+1)(N-j-s)) within each s sector; the coupling
@@ -153,7 +123,21 @@ def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarr
     In the Dicke ordering every coupling lies within two places of the
     diagonal, so the matrix is pentadiagonal.
     """
-    return _dicke_chain(params, spec.n_atoms, spec.n_atoms)
+    n = spec.n_atoms
+    if n > N_MAX_DICKE:
+        raise CapacityError(f"Dicke basis for N={n} exceeds limit {N_MAX_DICKE}")
+    j, s = dicke_labels(n)
+    bands = np.zeros((3, dicke_dimension(n)))
+    bands[0] = -j * params.delta_p - s * (params.delta_p + params.delta_c)
+    j0 = np.arange(n)
+    j1 = j0[:-1]
+    up = 2 * j0 + 1  # position of |E^{j+1} R^0>; |E^j R^1> is next
+    probe = params.omega_p / 2.0 * np.sqrt((j0 + 1) * (n - j0))  # in s = 0
+    bands[1, 0] = probe[0]  # from |G>
+    bands[1, up] = params.omega_c / 2.0 * np.sqrt(j0 + 1)
+    bands[2, up[:-1]] = probe[1:]
+    bands[2, up[:-1] + 1] = params.omega_p / 2.0 * np.sqrt((j1 + 1) * (n - j1 - 1))
+    return bands
 
 
 def resonance_probe_detuning(omega_c: float, delta_c: float) -> float:
@@ -220,13 +204,13 @@ def _low_dressed_frame(
     min(7, 2N+1) Dicke positions.
 
     u is block-diagonal in n and its blocks do not depend on N, so this is
-    the leading block of the full dressed-frame Hamiltonian; H is built on
+    the leading block of the full dressed-frame Hamiltonian; H is dense on
     those positions only.  Only the n = 1 and n = 3 states are one probe
     step from |G> or |2+>.
     """
-    n_max = min(spec.n_atoms, 3)
-    u = dicke_to_dressed(params, EnsembleSpec(n_max))
-    return u, u.T @ _dicke_chain(params, spec.n_atoms, n_max) @ u
+    u = dicke_to_dressed(params, EnsembleSpec(min(spec.n_atoms, 3)))
+    h = leading_block(build_dicke_hamiltonian(params, spec), len(u))
+    return u, u.T @ h @ u
 
 
 def build_restricted_hamiltonian(

@@ -37,6 +37,7 @@ from .dynamics import (
     Trajectory,
     check_lindblad_work,
     evolve_lindblad,
+    hermitian_bands,
     lindblad_operators,
     propagate_pure,
 )
@@ -206,8 +207,9 @@ def _density_readout(times, spec, rhos, two_plus) -> Trajectory:
 
 
 def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
-    """(H, columns mapping its amplitudes to Dicke amplitudes, or None when
-    they already are Dicke amplitudes).  Every model holds |G> at position 0.
+    """(lower bands of H, as propagate_pure takes them; columns mapping its
+    amplitudes to Dicke amplitudes, or None when they already are Dicke
+    amplitudes).  Every model holds |G> at position 0.
 
     The full model builds the product-basis Hamiltonian and propagates its
     exchange-symmetric block S^T H S, which symmetric_block checks exactly:
@@ -217,17 +219,18 @@ def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
     if model == "dicke":
         return build_dicke_hamiltonian(params, spec), None
     if model == "full":
-        return symmetric_block(build_product_hamiltonian(params, spec), spec), None
+        h = symmetric_block(build_product_hamiltonian(params, spec), spec)
+        return hermitian_bands(h), None
     if model == "restricted6":
         h, columns = build_restricted_hamiltonian(params, spec)
-        return h, columns.T
+        return hermitian_bands(h), columns.T
     # effective2: two-level model in the {|G>, |2+>} frame; residual detuning
     # from the difference between the configured delta_p and exact compensation
     d_resid = -2.0 * (params.delta_p - res.delta_p_resonance) + res.delta_eff
-    h2 = np.array([[0.0, res.omega_eff / 2.0], [res.omega_eff / 2.0, d_resid]])
+    bands = np.array([[0.0, d_resid], [res.omega_eff / 2.0, 0.0]])
     ground = np.zeros_like(two_plus)
     ground[0] = 1.0
-    return h2, np.array([ground, two_plus])
+    return bands, np.array([ground, two_plus])
 
 
 def _check_density_capacity(spec: EnsembleSpec) -> None:
@@ -266,10 +269,10 @@ def run_protocol(
         rhos = evolve_lindblad(h, jumps, rho0, times)
         traj = _density_readout(times, spec, rhos, two_plus)
     else:
-        h, columns = _pure_model(model, res, two_plus)
-        psi0 = np.zeros(h.shape[0], dtype=complex)
+        bands, columns = _pure_model(model, res, two_plus)
+        psi0 = np.zeros(bands.shape[1], dtype=complex)
         psi0[0] = 1.0
-        amps = propagate_pure(h, psi0, times)
+        amps = propagate_pure(bands, psi0, times)
         if columns is not None:
             amps = amps @ columns
         traj = _pure_readout(times, spec, amps, two_plus)
@@ -475,11 +478,11 @@ def scan_omega_c(
 def _integrated_level_population(res: ResolvedProtocol, which: str) -> float:
     """Time integral of <n_e> (gamma_e) or <n_r> (gamma_r, gamma_d) over the
     coherent pulse; Gamma times this is the expected number of decay events."""
-    h = build_dicke_hamiltonian(res.params, res.spec)
+    bands = build_dicke_hamiltonian(res.params, res.spec)
     times = np.linspace(0.0, res.pulse_time, 201)[1:]
-    psi0 = np.zeros(h.shape[0], dtype=complex)
+    psi0 = np.zeros(bands.shape[1], dtype=complex)
     psi0[0] = 1.0
-    pops = np.abs(propagate_pure(h, psi0, times)) ** 2
+    pops = np.abs(propagate_pure(bands, psi0, times)) ** 2
     j, s = dicke_labels(res.spec.n_atoms)
     weight = (j if which == "gamma_e" else s).astype(float)
     return float(np.trapezoid(pops @ weight, times))

@@ -16,8 +16,14 @@ from superatom.basis import (
     EnsembleSpec,
     dicke_labels,
 )
-from superatom.dynamics import propagate_pure
+from superatom.dynamics import leading_block, propagate_pure
 from superatom.hamiltonians import LaserParams, build_dicke_hamiltonian
+
+
+def dicke_matrix(params, spec):
+    """The Dicke Hamiltonian as a dense (2N+1)^2 matrix, from its bands."""
+    bands = build_dicke_hamiltonian(params, spec)
+    return leading_block(bands, bands.shape[1])
 
 
 def effective_two_level(params, spec):
@@ -58,29 +64,21 @@ def probe_stage_state(n_atoms, omega_p, probe_pulse_time):
     demo took before its closed form.  LaserParams refuses omega_c = 0, so
     the coupling is a 1e-12 stand-in, which moves up to about
     1e-12 * sqrt(N) * t1 / 2 of amplitude into the |E^{j-1}R> states."""
-    h1 = build_dicke_hamiltonian(
+    bands = build_dicke_hamiltonian(
         LaserParams(omega_p, 1e-12, 0.0, 0.0), EnsembleSpec(n_atoms)
     )
-    psi0 = np.zeros(h1.shape[0], dtype=complex)
+    psi0 = np.zeros(bands.shape[1], dtype=complex)
     psi0[0] = 1.0
-    return propagate_pure(h1, psi0, [probe_pulse_time])[0]
+    return propagate_pure(bands, psi0, [probe_pulse_time])[0]
 
 
-def eigh_banded(h):
-    """eigh of a Hermitian matrix with no nonzero above its second
-    superdiagonal, through LAPACK's banded solver: the whole-chain
-    eigendecomposition that propagate_pure used before its leading block."""
-    dim = h.shape[0]
-    u = min(2, dim - 1)  # eig_banded needs u < dim
-    ab = np.zeros((u + 1, dim), dtype=h.dtype)
-    for k in range(u + 1):
-        ab[u - k, k:] = np.diagonal(h, k)
-    return eig_banded(ab, check_finite=False)
-
-
-def whole_chain_states(h, psi0, times):
-    """(T, dim) spectral sum over every eigenvector of the banded H."""
-    evals, evecs = eigh_banded(h)
+def whole_chain_states(bands, psi0, times):
+    """(T, dim) spectral sum over every eigenvector of the H with lower
+    bands `bands` (row d holds H[i+d, i]), through LAPACK's banded solver:
+    the whole-chain eigendecomposition that propagate_pure used before its
+    leading block."""
+    rows = bands[: bands.shape[1]]  # eig_banded needs no more bands than rows
+    evals, evecs = eig_banded(rows, lower=True, check_finite=False)
     c0 = evecs.conj().T @ psi0
     return (np.exp(-1j * np.outer(times, evals)) * c0) @ evecs.T
 
@@ -91,11 +89,11 @@ def whole_chain_p_ryd(n_atoms, omega_p, omega_c, probe_pulse_time, times,
     probe stage through probe_stage_state, then the whole coupling-only
     Dicke H (detuned by delta_c) through whole_chain_states."""
     psi1 = probe_stage_state(n_atoms, omega_p, probe_pulse_time)
-    h2 = build_dicke_hamiltonian(
+    bands = build_dicke_hamiltonian(
         LaserParams(0.0, omega_c, 0.0, delta_c), EnsembleSpec(n_atoms)
     )
     _, s = dicke_labels(n_atoms)
-    states = whole_chain_states(h2, psi1, np.asarray(times, dtype=float))
+    states = whole_chain_states(bands, psi1, np.asarray(times, dtype=float))
     return (np.abs(states[:, s == 1]) ** 2).sum(axis=1)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import ProductBasis, dicke_vector, enumerate_dicke
+from oracles import ProductBasis, dicke_matrix, dicke_vector, enumerate_dicke
 from oracles import symmetrizer as reference_symmetrizer
 from superatom.basis import (
     LEVEL_E,
@@ -20,7 +20,7 @@ from superatom.basis import (
     product_dimension,
     symmetrizer,
 )
-from superatom.hamiltonians import LaserParams, build_dicke_hamiltonian
+from superatom.hamiltonians import LaserParams
 
 
 def brute_force_count(n):
@@ -175,7 +175,7 @@ def hamiltonian_element(spec, j, s, transition):
     tgt = DickeIndex(j + 1, s) if transition == "ge" else DickeIndex(j + 1, 0)
     if not DickeIndex(j, s).admissible(spec) or not tgt.admissible(spec):
         return 0.0
-    h = build_dicke_hamiltonian(UNIT_DRIVE, spec)
+    h = dicke_matrix(UNIT_DRIVE, spec)
     return h[dicke_position(spec, tgt), dicke_position(spec, DickeIndex(j, s))]
 
 
@@ -213,6 +213,6 @@ class TestCollectiveMatrixElements:
             for tgt in [(j + 1, s)] + [(j + 1, 0)] * s
             if tgt in pos
         }
-        h = build_dicke_hamiltonian(UNIT_DRIVE, spec)
+        h = dicke_matrix(UNIT_DRIVE, spec)
         rows, cols = np.nonzero(np.triu(h, 1))
         assert set(zip(rows.tolist(), cols.tolist())) == allowed

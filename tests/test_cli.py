@@ -443,19 +443,19 @@ class TestMainEntry:
 
     def test_non_hermitian_hamiltonian_exit_code(self, tmp_path, capsys,
                                                  monkeypatch):
-        """A non-Hermitian H from a patched build_dicke_hamiltonian is an
-        internal failure (exit 4), not a configuration error."""
+        """A non-Hermitian dense H from a patched build_restricted_hamiltonian
+        is an internal failure (exit 4), not a configuration error."""
         from superatom import protocol
 
-        real = protocol.build_dicke_hamiltonian
+        real = protocol.build_restricted_hamiltonian
 
         def skewed(params, spec):
-            h = real(params, spec)
+            h, columns = real(params, spec)
             h[0, 1] += 1.0
-            return h
+            return h, columns
 
-        monkeypatch.setattr(protocol, "build_dicke_hamiltonian", skewed)
-        code, _ = run_cli(tmp_path, "rabi", RABI_CFG + "model = dicke\n")
+        monkeypatch.setattr(protocol, "build_restricted_hamiltonian", skewed)
+        code, _ = run_cli(tmp_path, "rabi", RABI_CFG + "model = restricted6\n")
         assert code == 4
         err = capsys.readouterr().err.splitlines()
         assert err == ["numerical failure: Hamiltonian is not Hermitian"]
@@ -625,26 +625,43 @@ class TestMainEntry:
          "probe_pulse_time_us = 0.2\ntotal_time_us = 1e305\n", "total_time_us"),
         ("rabi", RABI_CFG + "model = dicke\npulse_time_us = 1e300\n",
          "pulse_time_us"),
+        ("scan-dc", SCAN_DC_CFG.replace("omega_c_mhz = 20", "omega_c_mhz = 1e-310"),
+         "omega_c_mhz"),
+        ("scan-dc", SCAN_DC_CFG.replace("omega_eff_target_mhz = 0.1",
+                                        "omega_eff_target_mhz = 1e-310"),
+         "omega_eff_target_mhz"),
+        ("scan-dc", SCAN_DC_CFG.replace("omega_eff_target_mhz = 0.1",
+                                        "omega_eff_target_mhz = 3e-309"),
+         "omega_eff_target_mhz"),
+        ("scan-oc", "n_atoms = 3\nomega_eff_target_mhz = 0.1\n"
+         "omega_c_min_mhz = 1e-310\n", "omega_c_min_mhz"),
+        ("scan-oc", "n_atoms = 3\nomega_eff_target_mhz = 0.1\n"
+         "omega_c_max_mhz = 1e-310\n", "omega_c_max_mhz"),
+        ("rabi", RABI_CFG + "gamma_e_mhz = 1e-310\n", "gamma_e_mhz"),
     ], ids=["ion-step", "rabi-pulse", "jc-total-time",
             "rabi-omega-c", "rabi-delta-c", "scan-dc-omega-c", "ion-softening",
             "ion-field", "ion-ramp-time", "ion-step-count", "ion-default-horizon",
             "ion-mass-underflow", "ion-mass-below-proton", "lindblad-gamma-subnormal",
             "ion-polarizability", "ion-trap-volume", "ion-trap-diameter",
             "jc-probe-pulse-overflow", "jc-total-time-overflow",
-            "rabi-pulse-overflow"])
+            "rabi-pulse-overflow", "scan-dc-omega-c-subnormal",
+            "scan-dc-target-subnormal", "scan-dc-target-near-normal",
+            "scan-oc-min-subnormal", "scan-oc-max-subnormal",
+            "rabi-gamma-subnormal"])
     def test_unrunnable_value_rejected_while_parsing(self, tmp_path, capsys,
                                                       monkeypatch, experiment,
                                                       text, key):
         """An ion step above 0.1 ns or beyond ION_MAX_STEPS over the horizon,
         a duration too short for distinct output times, or a value beyond
         its schema bounds (which would overflow or underflow, such as a
-        time above MAX_TIME_US) is a configuration error that names its
-        key.  No run is started."""
+        time above MAX_TIME_US, or a nonzero frequency whose angular value
+        is subnormal) is a configuration error that names its key, in one
+        line with no numpy warning.  No run is started."""
         def refuse(*args, **kwargs):
             raise AssertionError("a run was started")
 
         for name in ("simulate_escape", "scan_decoherence", "run_protocol",
-                     "scan_delta_c", "collapse_revival_demo"):
+                     "scan_delta_c", "scan_omega_c", "collapse_revival_demo"):
             monkeypatch.setattr(f"superatom.cli.{name}", refuse)
         code, out = run_cli(tmp_path, experiment, text)
         assert code == 2

@@ -27,9 +27,10 @@ from superatom.dynamics import (
     NumericalFailure,
     Trajectory,
     evolve_lindblad,
+    hermitian_bands,
+    leading_block,
     lindblad_operators,
     liouvillian,
-    _carrying_indices,
     propagate_pure,
 )
 from superatom.hamiltonians import (
@@ -52,7 +53,7 @@ from superatom.protocol import (
 class TestPurePropagation:
     def test_zero_hamiltonian_identity(self):
         psi0 = np.array([0.6, 0.8], dtype=complex)
-        states = propagate_pure(np.zeros((2, 2)), psi0, [0.1, 1.0, 10.0])
+        states = propagate_pure(np.zeros((1, 2)), psi0, [0.1, 1.0, 10.0])
         assert np.allclose(states, psi0[None, :], atol=1e-14)
 
     def test_single_atom_rabi_oracle(self):
@@ -65,7 +66,7 @@ class TestPurePropagation:
         psi0 = np.zeros(pb.dim, dtype=complex)
         psi0[pb.index[(0,)]] = 1.0
         times = np.linspace(0.01, 5.0, 300)
-        states = propagate_pure(h, psi0, times)
+        states = propagate_pure(hermitian_bands(h), psi0, times)
         p_e = np.abs(states[:, pb.index[(1,)]]) ** 2
         assert np.max(np.abs(p_e - np.sin(omega_p * times / 2) ** 2)) < 1e-8
 
@@ -77,39 +78,43 @@ class TestPurePropagation:
         h = (a + a.T) / 2
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi0 /= np.linalg.norm(psi0)
-        states = propagate_pure(h, psi0, np.linspace(0.1, 3.0, 17))
+        states = propagate_pure(hermitian_bands(h), psi0, np.linspace(0.1, 3.0, 17))
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1)) < 1e-10
 
     def test_non_hermitian_rejected(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NumericalFailure, match="not Hermitian"):
-            propagate_pure(h, np.array([1.0, 0.0], dtype=complex), [1.0])
+            hermitian_bands(h)
 
     def test_dimension_mismatch(self):
         with pytest.raises(BasisError):
             propagate_pure(np.zeros((3, 3)), np.array([1.0, 0.0]), [1.0])
 
     def test_nan_hamiltonian_rejected(self):
+        """A NaN in a dense H or in bands is refused."""
         h = np.eye(3)
         h[1, 1] = np.nan
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            hermitian_bands(h)
+        with pytest.raises(NumericalFailure, match="non-finite"):
             propagate_pure(h, np.array([1.0, 0.0, 0.0], dtype=complex), [1.0])
 
     def test_nan_initial_state_rejected(self):
         psi0 = np.array([1.0, np.nan, 0.0], dtype=complex)
         with pytest.raises(NumericalFailure):
-            propagate_pure(np.eye(3), psi0, [1.0])
+            propagate_pure(np.ones((1, 3)), psi0, [1.0])
 
     def test_unnormalized_state_rejected(self):
+        psi0 = np.array([2.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(NumericalFailure, match="norm"):
-            propagate_pure(np.eye(3), np.array([2.0, 0.0, 0.0], dtype=complex), [1.0])
+            propagate_pure(np.ones((1, 3)), psi0, [1.0])
 
     def test_negligible_state_rejected(self):
-        """A psi0 whose whole weight is below DROP_TOL**2 propagates to 0,
-        which the norm check refuses."""
+        """A psi0 whose whole weight is below DROP_TOL**2 keeps its norm
+        of 2e-14, which the norm check refuses."""
         psi0 = np.full(4, 0.1 * DROP_TOL, dtype=complex)
         with pytest.raises(NumericalFailure, match="norm"):
-            propagate_pure(np.diag([0.0, 1.0, 2.0, 3.0]), psi0, [1.0])
+            propagate_pure(np.array([[0.0, 1.0, 2.0, 3.0]]), psi0, [1.0])
 
     EXPM_TIMES = np.array([0.0, 0.3, 1.7, 12.5])
 
@@ -123,22 +128,20 @@ class TestPurePropagation:
         q, _ = np.linalg.qr(a)
         return (q * np.asarray(evals)) @ q.conj().T, q
 
-    def _check_against_expm(self, h, psi0, n_kept):
-        """propagate_pure keeps n_kept components and matches exp(-iHt)."""
-        weights = np.abs(np.linalg.eigh(h)[1].conj().T @ psi0) ** 2
-        assert len(_carrying_indices(weights)) == n_kept
-        got = propagate_pure(h, psi0, self.EXPM_TIMES)
+    def _check_against_expm(self, h, psi0):
+        """propagate_pure of the dense H matches exp(-iHt)."""
+        got = propagate_pure(hermitian_bands(h), psi0, self.EXPM_TIMES)
         want = np.array([expm(-1j * h * t) @ psi0 for t in self.EXPM_TIMES])
         assert np.max(np.abs(got - want)) < 1e-10
         return got
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_invariant_subspace_matches_expm(self, seed):
-        """psi0 spans 3 of 12 eigenvectors; the other 9 are dropped."""
+        """psi0 spans 3 of 12 eigenvectors."""
         evals = np.random.default_rng(seed).normal(size=12)
         h, q = self._random_dense(evals, seed)
         psi0 = q[:, [1, 5, 8]] @ np.array([0.6, 0.48j, -0.64])
-        self._check_against_expm(h, psi0, n_kept=3)
+        self._check_against_expm(h, psi0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_degenerate_subspace_matches_expm(self, seed):
@@ -147,28 +150,29 @@ class TestPurePropagation:
         evals = np.array([-1.3, -0.2, 0.4, 0.4, 1.1, 2.0, 2.9, 3.5])
         h, q = self._random_dense(evals, seed)
         psi0 = q[:, [2, 3, 6]] @ np.array([0.6, 0.6j, np.sqrt(0.28)])
-        self._check_against_expm(h, psi0, n_kept=3)
+        self._check_against_expm(h, psi0)
 
     def test_single_eigenvector_only_rotates(self):
         evals = np.linspace(-2.0, 3.0, 10)
         h, q = self._random_dense(evals, 3)
         psi0 = q[:, 4]
-        got = self._check_against_expm(h, psi0, n_kept=1)
+        got = self._check_against_expm(h, psi0)
         want = np.exp(-1j * evals[4] * self.EXPM_TIMES)[:, None] * psi0
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_peak_allocation_near_output_size(self):
-        """From |G> at N=8 (dim 1280, 4,000 times) only the symmetric
-        eigencomponents are propagated, so no (T, dim) temporary besides
-        the returned array is allocated."""
+        """From |G> at N=8 (dim 1280, 4,000 times) every one of the 1,280
+        eigencomponents is propagated, a few hundred times at once, so no
+        (T, dim) temporary besides the returned array is allocated."""
         spec = EnsembleSpec(8)
         h = build_product_hamiltonian(LaserParams(1.9, 628.0, 0.0, -314.0), spec)
+        bands = hermitian_bands(h)
         psi0 = np.zeros(h.shape[0], dtype=complex)
         psi0[ProductBasis(spec).index[(0,) * 8]] = 1.0
         times = np.linspace(0.0, 5.0, 4000)
         tracemalloc.start()
         try:
-            states = propagate_pure(h, psi0, times)
+            states = propagate_pure(bands, psi0, times)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -180,58 +184,40 @@ class TestPurePropagation:
             raise np.linalg.LinAlgError("did not converge")
 
         monkeypatch.setattr(superatom.dynamics.np.linalg, "eigh", fail)
-        h = np.ones((5, 5))
+        bands = hermitian_bands(np.ones((5, 5)))
         with pytest.raises(NumericalFailure, match="did not converge"):
-            propagate_pure(h, np.eye(5, dtype=complex)[0], [1.0])
+            propagate_pure(bands, np.eye(5, dtype=complex)[0], [1.0])
 
 
-class TestCarryingIndices:
-    """The components kept by propagate_pure: the dropped ones are the
-    smallest and sum to at most DROP_TOL**2, and no fewer could be kept."""
+class TestBandStorage:
+    """Lower bands (row d holds H[i+d, i]) to and from dense matrices."""
 
-    @staticmethod
-    def _check(weights):
-        keep = _carrying_indices(weights)
-        dropped = np.setdiff1d(np.arange(len(weights)), keep)
-        assert np.all(np.diff(keep) > 0)
-        assert weights[dropped].sum() <= DROP_TOL**2
-        if len(dropped) and len(keep):
-            assert weights[dropped].max() <= weights[keep].min()
-        if len(keep):  # dropping one more would break the bound
-            assert weights[dropped].sum() + weights[keep].min() > DROP_TOL**2
-        return keep
+    @pytest.mark.parametrize("dim", [1, 2, 5, 12])
+    def test_round_trip(self, dim):
+        h = _random_hermitian(dim, dim)
+        bands = hermitian_bands(h)
+        assert bands.shape == (dim, dim)
+        for d in range(dim):
+            assert np.array_equal(bands[d, : dim - d], np.diagonal(h, -d))
+            assert not bands[d, dim - d :].any()
+        assert np.array_equal(leading_block(bands, dim), h)
 
-    def test_spread_evenly_keeps_all(self):
-        for dim in (1, 2, 17, 1280):
-            keep = self._check(np.full(dim, 1.0 / dim))
-            assert np.array_equal(keep, np.arange(dim))
+    @pytest.mark.parametrize("m", [1, 3, 7, 9])
+    def test_leading_block_is_the_corner(self, m):
+        """Fewer bands than rows, and a block narrower than the bands."""
+        h = _random_pentadiagonal(9, 4)
+        for bands in (hermitian_bands(h)[:3], hermitian_bands(h)):
+            assert np.array_equal(leading_block(bands, m), h[:m, :m])
 
-    def test_many_small_weights_are_summed(self):
-        """100 weights of DROP_TOL**2 / 2 each: only two of them fit under
-        the bound together, so 98 are kept."""
-        weights = np.full(103, 0.5 * DROP_TOL**2)
-        weights[[4, 50, 99]] = [0.5, 0.3, 0.2]
-        keep = self._check(weights)
-        assert len(keep) == 101
 
-    def test_exact_zeros_dropped(self):
-        weights = np.zeros(9)
-        weights[[2, 7]] = [0.25, 0.75]
-        assert np.array_equal(self._check(weights), [2, 7])
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
-    def test_random_weights(self, dim, seed):
-        rng = np.random.default_rng(seed)
-        weights = rng.random(dim) * 10.0 ** rng.integers(-34, 0, size=dim)
-        self._check(weights / weights.sum())
+def _random_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
 
 
 def _random_pentadiagonal(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    a = np.triu(np.tril(a, 2), -2)
-    return (a + a.conj().T) / 2
+    return np.triu(np.tril(_random_hermitian(dim, seed), 2), -2)
 
 
 def _random_state(dim, seed):
@@ -241,11 +227,12 @@ def _random_state(dim, seed):
 
 
 class TestBandedPropagation:
-    """A pentadiagonal H such as the Dicke chain propagates on a leading
-    block, grown until the leakage bound fits.  Every result must match
-    exp(-iHt) and the whole-chain spectral sum of the banded solver that
-    the block replaced (tests/oracles.py); the eigh spy records the block
-    sizes a call went through."""
+    """A pentadiagonal H such as the Dicke chain, handed over as its three
+    lower bands, propagates on a leading block, grown until the leakage
+    bound fits.  Every result must match exp(-iHt) and the whole-chain
+    spectral sum of the banded solver that the block replaced
+    (tests/oracles.py); the eigh spy records the block sizes a call went
+    through."""
 
     TIMES = np.linspace(0.05, 2.0, 7)
 
@@ -262,12 +249,13 @@ class TestBandedPropagation:
         return sizes
 
     @staticmethod
-    def _check(h, psi0, times, eigh_sizes, blocks):
-        got = propagate_pure(h, psi0, times)
+    def _check(bands, psi0, times, eigh_sizes, blocks):
+        got = propagate_pure(bands, psi0, times)
         assert eigh_sizes == blocks
+        h = leading_block(bands, bands.shape[1])
         want = np.array([expm(-1j * h * t) @ psi0 for t in times])
         assert np.max(np.abs(got - want)) < 1e-10
-        assert np.max(np.abs(got - whole_chain_states(h, psi0, times))) < 1e-10
+        assert np.max(np.abs(got - whole_chain_states(bands, psi0, times))) < 1e-10
         return got
 
     @staticmethod
@@ -286,10 +274,10 @@ class TestBandedPropagation:
             params=LaserParams(0.0, omega_c, AUTO_DELTA_P, -omega_c / 2.0),
             effective_rabi_target=TWO_PI * 0.1,
         ))
-        h = build_dicke_hamiltonian(res.params, res.spec)
+        bands = build_dicke_hamiltonian(res.params, res.spec)
         times = np.linspace(0.0, res.pulse_time, 5)[1:]
         eigh_sizes.clear()  # the reduction's batched 2x2 eigh
-        self._check(h, self._ground(h.shape[0]), times, eigh_sizes, blocks)
+        self._check(bands, self._ground(bands.shape[1]), times, eigh_sizes, blocks)
 
     @pytest.mark.parametrize("omega_p_mhz,blocks", [
         (0.1, [35, 71]),
@@ -329,28 +317,28 @@ class TestBandedPropagation:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9, 40])
     def test_random_pentadiagonal(self, dim, eigh_sizes):
         """A psi0 spread over every position takes the whole matrix."""
-        self._check(_random_pentadiagonal(dim, dim), _random_state(dim, dim),
-                    self.TIMES, eigh_sizes, [dim])
+        bands = hermitian_bands(_random_pentadiagonal(dim, dim))[:3]
+        self._check(bands, _random_state(dim, dim), self.TIMES, eigh_sizes, [dim])
 
     @pytest.mark.parametrize("n_atoms", [1, 3, 50])
     def test_dicke_hamiltonian(self, n_atoms, eigh_sizes):
         h = build_dicke_hamiltonian(
             LaserParams(1.5, 4.0, 0.7, -2.0), EnsembleSpec(n_atoms)
         )
-        dim = h.shape[0]
+        dim = h.shape[1]
         self._check(h, _random_state(dim, n_atoms), self.TIMES, eigh_sizes, [dim])
 
     def test_random_pentadiagonal_from_first_state(self, eigh_sizes):
         """Couplings of order 1 over t = 2 carry the first state across
         all 80 positions, so the block grows to the whole matrix."""
-        h = _random_pentadiagonal(80, 5)
-        self._check(h, self._ground(80), self.TIMES, eigh_sizes, [35, 71, 80])
+        bands = hermitian_bands(_random_pentadiagonal(80, 5))[:3]
+        self._check(bands, self._ground(80), self.TIMES, eigh_sizes, [35, 71, 80])
 
     def test_zero_hamiltonian(self, eigh_sizes):
-        """No coupling, no band: the block is psi0's support."""
+        """No coupling, only the diagonal band: the block is psi0's support."""
         psi0 = np.zeros(9, dtype=complex)
         psi0[:3] = _random_state(3, 0)
-        got = self._check(np.zeros((9, 9)), psi0, self.TIMES, eigh_sizes, [3])
+        got = self._check(np.zeros((1, 9)), psi0, self.TIMES, eigh_sizes, [3])
         assert np.allclose(got, psi0[None, :], atol=1e-14)
 
     @pytest.mark.parametrize("omega_c", [4.0, 1e-12])
@@ -365,13 +353,14 @@ class TestBandedPropagation:
 
     def test_product_basis_takes_the_whole_matrix(self, eigh_sizes):
         """The product basis is not ordered by excitation number: its
-        couplings reach 576 places from the diagonal at N = 8, so |G>
-        starts, and ends, with all 1,280 states."""
+        couplings reach 576 places from the diagonal at N = 8, and
+        hermitian_bands hands over every diagonal, so |G> starts, and ends,
+        with all 1,280 states."""
         spec = EnsembleSpec(8)
         h = build_product_hamiltonian(LaserParams(1.9, 628.0, 0.0, -314.0), spec)
         psi0 = np.zeros(h.shape[0], dtype=complex)
         psi0[ProductBasis(spec).index[(0,) * 8]] = 1.0
-        propagate_pure(h, psi0, [0.5, 5.0])
+        propagate_pure(hermitian_bands(h), psi0, [0.5, 5.0])
         assert eigh_sizes == [1280]
 
 
@@ -453,7 +442,8 @@ class TestLiouvillian:
 
     def test_dicke_basis_collective_dephasing(self):
         spec = EnsembleSpec(4)
-        h = build_dicke_hamiltonian(LaserParams(1.5, 4.0, 0.7, -2.0), spec)
+        h = leading_block(build_dicke_hamiltonian(LaserParams(1.5, 4.0, 0.7, -2.0),
+                                                  spec), 9)
         # collective dephasing: a projector onto each Dicke state
         jumps = [(0.5, np.diag(e)) for e in np.eye(h.shape[0])]
         self._check(h, jumps, seed=11)
@@ -473,7 +463,7 @@ class TestLindbladEvolution:
         psi0, rho0 = self._pure_rho(spec)
         times = np.linspace(0.05, 1.0, 12)
         rhos = evolve_lindblad(h, [], rho0, times)
-        states = propagate_pure(h, psi0, times)
+        states = propagate_pure(hermitian_bands(h), psi0, times)
         pops_pure = np.abs(states) ** 2
         pops_me = np.einsum("tii->ti", rhos).real
         assert np.max(np.abs(pops_pure - pops_me)) < 1e-7

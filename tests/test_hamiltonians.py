@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import effective_two_level, enumerate_dicke, product_hamiltonian
+from oracles import (
+    dicke_matrix,
+    effective_two_level,
+    enumerate_dicke,
+    product_hamiltonian,
+)
 from superatom.basis import (
     N_MAX_DICKE,
     BasisError,
@@ -21,7 +26,6 @@ from superatom.basis import (
 from superatom.hamiltonians import (
     _TWO_PLUS,
     LaserParams,
-    _dicke_chain,
     _low_dressed_frame,
     _two_plus_in_dicke,
     build_dicke_hamiltonian,
@@ -32,7 +36,7 @@ from superatom.hamiltonians import (
     second_order_reduction,
     symmetric_block,
 )
-from superatom.dynamics import NumericalFailure
+from superatom.dynamics import NumericalFailure, leading_block
 
 laser_params = st.builds(
     LaserParams,
@@ -68,12 +72,12 @@ class TestHermiticity:
     @settings(max_examples=40, deadline=None)
     @given(laser_params, st.integers(1, 12))
     def test_dicke_hermitian(self, params, n):
-        h = build_dicke_hamiltonian(params, EnsembleSpec(n))
+        h = dicke_matrix(params, EnsembleSpec(n))
         assert np.allclose(h, h.T, atol=1e-12)
 
     def test_dicke_capacity(self):
-        """Refused before the (2N+1)^2 array is allocated, and by the
-        reductions, which build only its corner."""
+        """Refused before the bands are allocated, and by the reductions,
+        which take only the corner of the chain."""
         params = LaserParams(1.0, 10.0, 0.0, 0.0)
         with pytest.raises(CapacityError, match=f"limit {N_MAX_DICKE}"):
             build_dicke_hamiltonian(params, EnsembleSpec(10**7))
@@ -98,7 +102,7 @@ class TestBasisEquivalence:
         spec = EnsembleSpec(n)
         S = symmetrizer(spec)
         hp = build_product_hamiltonian(params, spec)
-        hd = build_dicke_hamiltonian(params, spec)
+        hd = dicke_matrix(params, spec)
         assert np.max(np.abs(S.T @ hp @ S - hd)) < 1e-10
 
     @settings(max_examples=25, deadline=None)
@@ -120,7 +124,7 @@ class TestSymmetricBlock:
         params = LaserParams(1.3, 7.9, 0.6, -2.7)
         spec = EnsembleSpec(n)
         block = symmetric_block(build_product_hamiltonian(params, spec), spec)
-        assert np.max(np.abs(block - build_dicke_hamiltonian(params, spec))) < 1e-12
+        assert np.max(np.abs(block - dicke_matrix(params, spec))) < 1e-12
 
     @staticmethod
     def product(n):
@@ -180,7 +184,7 @@ def dressed_pair(params, n):
     u = dicke_to_dressed on the block's positions (|E^n R^0>, |E^(n-1) R^1>)."""
     spec = EnsembleSpec(n)
     u = dicke_to_dressed(params, spec)
-    h0 = build_dicke_hamiltonian(params.replace(omega_p=0.0), spec)
+    h0 = dicke_matrix(params.replace(omega_p=0.0), spec)
     energies = np.diag(u.T @ h0 @ u)
     a = 2 * n - 1
     return (energies[a], u[a:a + 2, a]), (energies[a + 1], u[a:a + 2, a + 1])
@@ -240,7 +244,7 @@ class TestDressedStates:
         params = LaserParams(0.0, 60.0, 4.0, -30.0)
         spec = EnsembleSpec(4)
         u = dicke_to_dressed(params, spec)
-        h = u.T @ build_dicke_hamiltonian(params, spec) @ u
+        h = u.T @ dicke_matrix(params, spec) @ u
         assert np.max(np.abs(h - np.diag(np.diag(h)))) < 1e-10
 
 
@@ -299,7 +303,7 @@ class TestRestrictedModel:
         params = LaserParams(0.9, 70.0, 6.0, -35.0)
         spec = EnsembleSpec(5)
         h, columns = build_restricted_hamiltonian(params, spec)
-        hd = build_dicke_hamiltonian(params, spec)
+        hd = dicke_matrix(params, spec)
         assert np.allclose(h, columns.T @ hd @ columns, atol=1e-12)
 
 
@@ -378,7 +382,7 @@ class TestArrayBuildsMatchLoops:
     def test_dicke_hamiltonian(self, params, n):
         spec = EnsembleSpec(n)
         assert np.array_equal(
-            build_dicke_hamiltonian(params, spec),
+            leading_block(build_dicke_hamiltonian(params, spec), 2 * n + 1),
             reference_build_dicke_hamiltonian(params, spec),
         )
 
@@ -393,11 +397,12 @@ class TestArrayBuildsMatchLoops:
     @settings(max_examples=30, deadline=None)
     @given(laser_params, st.integers(1, 12))
     def test_dicke_hamiltonian_is_pentadiagonal(self, params, n):
-        """No nonzero beyond the second off-diagonal: what keeps
-        propagate_pure's first block from |G> at 35 states."""
-        h = build_dicke_hamiltonian(params, EnsembleSpec(n))
-        rows, cols = np.nonzero(h)
-        assert np.all(np.abs(rows - cols) <= 2)
+        """Three lower bands, each ending in zeros where it runs past the
+        chain: bandwidth 2 is what keeps propagate_pure's first block from
+        |G> at 35 states."""
+        bands = build_dicke_hamiltonian(params, EnsembleSpec(n))
+        assert bands.shape == (3, 2 * n + 1)
+        assert not bands[1, -1:].any() and not bands[2, -2:].any()
 
 
 # The full-frame reduction and restricted model that the n <= 3 frame
@@ -415,9 +420,9 @@ def _reference_label_position(spec, label):
 
 def reference_second_order_reduction(params, spec):
     u = dicke_to_dressed(params, spec)
-    h = u.T @ build_dicke_hamiltonian(params, spec) @ u
+    h = u.T @ dicke_matrix(params, spec) @ u
     energies = np.diag(
-        u.T @ build_dicke_hamiltonian(params.replace(omega_p=0.0), spec) @ u
+        u.T @ dicke_matrix(params.replace(omega_p=0.0), spec) @ u
     )
     i_g = 0
     i_2p = _reference_label_position(spec, "2+")
@@ -439,7 +444,7 @@ def reference_build_restricted_hamiltonian(params, spec):
     labels = ("G", "1+", "1-", "2+", "3+", "3-") if spec.n_atoms >= 3 else (
         "G", "1+", "1-", "2+")
     u = dicke_to_dressed(params, spec)
-    h_dressed = u.T @ build_dicke_hamiltonian(params, spec) @ u
+    h_dressed = u.T @ dicke_matrix(params, spec) @ u
     cols = [_reference_label_position(spec, lab) for lab in labels]
     return labels, h_dressed[np.ix_(cols, cols)], u[:, cols]
 
@@ -486,17 +491,18 @@ class TestLowFrameMatchesFullFrame:
 
 
 class TestDickeCorner:
-    """The reductions build only the n <= 3 corner of the Dicke chain."""
+    """The reductions take only the n <= 3 corner of the Dicke chain's bands."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 50, 2000])
     @pytest.mark.parametrize(
         "params", [LaserParams(1.3, 7.9, 0.6, -2.7), LaserParams(1, 2, 0, 0)]
     )
     def test_corner_is_the_leading_block(self, params, n):
+        spec = EnsembleSpec(n)
         m = dicke_dimension(min(n, 3))
         assert np.array_equal(
-            _dicke_chain(params, n, min(n, 3)),
-            build_dicke_hamiltonian(params, EnsembleSpec(n))[:m, :m],
+            leading_block(build_dicke_hamiltonian(params, spec), m),
+            reference_build_dicke_hamiltonian(params, spec)[:m, :m],
         )
 
     @pytest.mark.parametrize(

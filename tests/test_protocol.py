@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,13 @@ from oracles import (
     whole_chain_p_ryd,
 )
 from superatom import cli, protocol
-from superatom.basis import EnsembleSpec, dicke_labels, symmetrizer
-from superatom.dynamics import DecoherenceRates, NumericalFailure, propagate_pure
+from superatom.basis import N_MAX_DICKE, EnsembleSpec, dicke_labels, symmetrizer
+from superatom.dynamics import (
+    DecoherenceRates,
+    NumericalFailure,
+    hermitian_bands,
+    propagate_pure,
+)
 from superatom.hamiltonians import (
     TWO_PI,
     LaserParams,
@@ -103,6 +109,20 @@ class TestRunProtocol:
         with pytest.raises(ValueError):
             run_protocol(canonical_config(), model="exact")
 
+    def test_dicke_run_builds_no_dense_hamiltonian(self):
+        """A dicke scan point at N = N_MAX_DICKE = 2000 hands the propagator
+        the chain's three bands: its peak stays far below the 128 MB of a
+        dense (2N+1)^2 H."""
+        res = resolve_protocol(canonical_config(n_atoms=N_MAX_DICKE))
+        run_protocol(res, model="dicke", n_times=2)  # first call outside the trace
+        tracemalloc.start()
+        try:
+            run_protocol(res, model="dicke", n_times=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_success_two_thirds_at_optimum(self):
         result = run_protocol(canonical_config(), model="dicke")
         assert result.success_probability == pytest.approx(2 / 3, abs=0.05)
@@ -130,7 +150,8 @@ class TestRunProtocol:
         h = build_product_hamiltonian(res.params, res.spec)
         psi0 = np.zeros(h.shape[0], dtype=complex)
         psi0[0] = 1.0
-        amps = propagate_pure(h, psi0, got.times) @ symmetrizer(res.spec)
+        states = propagate_pure(hermitian_bands(h), psi0, got.times)
+        amps = states @ symmetrizer(res.spec)
         want = protocol._pure_readout(
             got.times, res.spec, amps,
             protocol._two_plus_in_dicke(res.params, res.spec),
@@ -437,7 +458,7 @@ class TestCollapseRevival:
 
         t1 = 1.0 / 6.0
         h1 = build_dicke_hamiltonian(LaserParams(params.omega_p, 1e-12, 0, 0), spec)
-        psi0 = np.zeros(h1.shape[0], dtype=complex)
+        psi0 = np.zeros(h1.shape[1], dtype=complex)
         psi0[0] = 1.0
         psi1 = propagate_pure(h1, psi0, [t1])[0]
         pops = np.abs(psi1) ** 2
