@@ -2,11 +2,13 @@
 # Check that the working tree writes the same outputs as revision REV.
 # Both trees run this checkout's scripts/run_all.sh, the benchmark's
 # configs that this checkout's benchmarks/workloads.py makes (sweep at
-# seeds 0-3, trajectory at 0-2, and lindblad and ion_mc at 0), and three
-# example configs under other models, so that every propagation path runs:
-# configs/rabi_n4.cfg under each of the five models, and poisson_n100.cfg
-# and scan_delta_c_n3.cfg under restricted6 and effective2.  The two
-# result directories are then compared, ignoring the timestamp in
+# seeds 0-3, trajectory at 0-2, and lindblad and ion_mc at 0), and example
+# configs under other models or rates, so that every propagation path and
+# every master-equation channel runs: configs/rabi_n4.cfg under each of the
+# five models and under lindblad with every decay rate above 0,
+# poisson_n100.cfg and scan_delta_c_n3.cfg under restricted6 and
+# effective2, and lindblad_gamma_e_n3.cfg on channels gamma_r and gamma_d.
+# The two result directories are then compared, ignoring the timestamp in
 # summary.json.
 # Prints nothing (exit 0) when every CSV is byte-identical and every
 # summary.json differs only in its timestamp.  Otherwise prints one line
@@ -43,16 +45,27 @@ for workload, seeds in (("sweep", 4), ("trajectory", 3), ("lindblad", 1),
             name = f"{workload}_s{seed}_{exp.label}"
             (out / f"{name}.cfg").write_text(exp.config_text())
             print(exp.experiment, name)
-for config, experiment, models in (
-    ("rabi_n4", "rabi", ("full", "dicke", "restricted6", "effective2", "lindblad")),
-    ("poisson_n100", "scan-n", ("restricted6", "effective2")),
-    ("scan_delta_c_n3", "scan-dc", ("restricted6", "effective2")),
-):
-    for model in models:
-        name = f"{config}_{model}"
-        text = (configs / f"{config}.cfg").read_text()
-        (out / f"{name}.cfg").write_text(f"{text}model = {model}\n")
-        print(experiment, name)
+
+
+def variant(config, experiment, suffix, append="", swap=("", "")):
+    """One run of an example config, with `swap` replaced and `append` added."""
+    name = f"{config}_{suffix}"
+    text = (configs / f"{config}.cfg").read_text().replace(*swap)
+    (out / f"{name}.cfg").write_text(text + append)
+    print(experiment, name)
+
+
+for model in ("full", "dicke", "restricted6", "effective2", "lindblad"):
+    variant("rabi_n4", "rabi", model, f"model = {model}\n")
+for config, experiment in (("poisson_n100", "scan-n"), ("scan_delta_c_n3", "scan-dc")):
+    for model in ("restricted6", "effective2"):
+        variant(config, experiment, model, f"model = {model}\n")
+for channel in ("gamma_r", "gamma_d"):
+    variant("lindblad_gamma_e_n3", "lindblad-scan", channel,
+            swap=("channel = gamma_e", f"channel = {channel}"))
+variant("rabi_n4", "rabi", "lindblad_all_rates",
+        "model = lindblad\ngamma_e_mhz = 0.01\ngamma_r_mhz = 0.002\n"
+        "gamma_d_mhz = 0.005\ngamma_coll_mhz = 0.003\n")
 EOF
 
 outputs() { # tree results_dir

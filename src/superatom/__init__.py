@@ -23,7 +23,6 @@ from .dynamics import (
     NumericalFailure,
     Trajectory,
     evolve_lindblad,
-    lindblad_operators,
     propagate_pure,
 )
 from .hamiltonians import (

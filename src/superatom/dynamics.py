@@ -15,11 +15,17 @@ the fewest excitations; a dense H passes through hermitian_bands, which
 checks it and returns all of its diagonals, so it gets K = dim at once.
 Density matrices evolve under
 rho' = -i[H, rho] + sum_k Gamma_k (L rho L^+ - 1/2 {L^+L, rho}) with an
-adaptive embedded Runge-Kutta integrator on the vectorized density matrix;
-the generator is built once per run as a sparse superoperator.  scipy
-(scipy.sparse, scipy.integrate) is imported inside liouvillian and
-evolve_lindblad, so only a master-equation run loads it; importing this
-module, and every pure-state run, needs numpy alone.
+adaptive embedded Runge-Kutta integrator (DOP853).  H, every channel and
+|G> are symmetric under atom exchange, so rho stays permutation-invariant
+(Shammah et al., PRA 98, 063815 (2018); Gegg & Richter, NJP 18, 043037
+(2016)): the integrator runs on one matrix element per orbit of
+product-basis pairs (i, j) under atom permutations, 86 at N = 3 and 175 at
+N = 4 instead of 400 and 2,304.  Their generator is built once per solve in
+count space, from the single-atom Hamiltonian and the rates, and each
+output is expanded to the product-basis density matrix.  scipy
+(scipy.integrate) is imported inside evolve_lindblad, so only a
+master-equation run loads it; importing this module, and every pure-state
+run, needs numpy alone.
 Positivity is monitored, not enforced: a violation beyond tolerance fails
 the run instead of being silently projected away.
 """
@@ -27,7 +33,9 @@ the run instead of being silently projected away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import combinations_with_replacement
+from itertools import product as iterproduct
+from math import factorial
 
 import numpy as np
 
@@ -39,14 +47,9 @@ from .basis import (
     CapacityError,
     EnsembleSpec,
     N_MAX_PRODUCT_DENSITY,
+    dicke_labels,
     product_basis,
-    product_dimension,
-    single_atom_flips,
-    symmetrizer,
 )
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 NORM_TOL = 1e-10
 DROP_TOL = 1e-13  # norm bound on the leakage out of pure propagation's block
@@ -55,16 +58,15 @@ HERM_TOL = 1e-8
 POSITIVITY_TOL = 1e-6
 LINDBLAD_RTOL = 1e-8  # DOP853 tolerances of the master equation
 LINDBLAD_ATOL = 1e-10
-# the master equation runs in the product basis only
-LINDBLAD_MAX_DIM = product_dimension(N_MAX_PRODUCT_DENSITY)
 # DOP853 takes 1.2-4.9 right-hand-side evaluations per unit of the work
 # check_lindblad_work computes for protocol runs (a weak probe; N = 3 and 4,
 # pulses of 0.05-50 us, Omega_c and rates up to 1e4 MHz), and up to 27 for
-# 80 random drives at N = 2 and 3 (a strong probe).  One evaluation takes
-# about 30 us at N = 3 and 115 us at N = 4 on one core, so at the cap a
-# protocol run takes at most about 15 s (N = 3) and 60 s (N = 4), a
-# strong-probe run up to about 5 min.  The criterion-6 point (N = 3,
-# Omega_c = 100 MHz, 5 us) does 9.5e3.
+# 80 random drives at N = 2 and 3 (a strong probe).  One evaluation, on the
+# orbit coordinates, takes about 10 us at N = 3 and 18 us at N = 4 on one
+# core (17 and 64 us on the whole product-basis rho, measured alongside), so
+# at the cap a protocol run takes at most about 5 s (N = 3) and 9 s
+# (N = 4), a strong-probe run up to about 1 min.  The criterion-6 point
+# (N = 3, Omega_c = 100 MHz, 5 us) does 9.5e3.
 LINDBLAD_MAX_WORK = 1e5
 
 
@@ -184,71 +186,122 @@ def propagate_pure(bands: np.ndarray, psi0: np.ndarray, times) -> np.ndarray:
     return states
 
 
-def lindblad_operators(
-    rates: DecoherenceRates, spec: EnsembleSpec
-) -> list[tuple[float, np.ndarray]]:
-    """Jump operators as (rate, matrix) pairs in the product basis.
+def check_density_capacity(spec: EnsembleSpec) -> None:
+    """Raise CapacityError when the master equation's product-basis density
+    matrices would exceed N_MAX_PRODUCT_DENSITY atoms."""
+    if spec.n_atoms > N_MAX_PRODUCT_DENSITY:
+        raise CapacityError(
+            f"product-basis density matrix for N={spec.n_atoms} exceeds "
+            f"limit {N_MAX_PRODUCT_DENSITY}"
+        )
 
-    Single-atom channels (gamma_e, gamma_r, gamma_d) act on one atom each
-    and break the exchange symmetry; collective dephasing projects onto
-    each symmetric Dicke state.
-    """
+
+# An orbit of product-basis pairs (i, j) under atom permutations is a
+# multiset of single-atom pairs (ket level a, bra level b), coded 3a + b,
+# and is held as its 9 counts n[3a + b]; at most one atom has r on each
+# side.
+
+
+def _orbits(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, place): the (n_orb, 9) pair counts of every orbit, in
+    ascending order of their codes counts @ place."""
+    place = (n_atoms + 1) ** np.arange(9)
+    multisets = np.array(list(combinations_with_replacement(range(9), n_atoms)))
+    counts = (multisets[:, :, None] == np.arange(9)).sum(axis=1)
+    ket_r, bra_r = counts[:, 6:].sum(axis=1), counts[:, 2::3].sum(axis=1)
+    counts = counts[(ket_r <= 1) & (bra_r <= 1)]
+    return counts[np.argsort(counts @ place)], place
+
+
+def _orbit_index(
+    counts: np.ndarray, place: np.ndarray, query: np.ndarray
+) -> np.ndarray:
+    """Index in counts of each row of query (..., 9); -1 where the row is no
+    orbit (a count below zero, or a second r on one side)."""
+    codes, want = counts @ place, query @ place
+    idx = np.minimum(np.searchsorted(codes, want), len(codes) - 1)
+    return np.where((codes[idx] == want) & (query >= 0).all(axis=-1), idx, -1)
+
+
+def pair_orbits(spec: EnsembleSpec) -> np.ndarray:
+    """(dim, dim) orbit index of every product-basis pair (i, j): a
+    permutation-invariant rho is x[pair_orbits(spec)], x one matrix element
+    per orbit, in the order orbit_liouvillian uses."""
+    counts, place = _orbits(spec.n_atoms)
     levels = product_basis(spec)
-    dim = len(levels)
-    ops: list[tuple[float, np.ndarray]] = []
-    for rate, src, dst in (
+    pairs = 3 * levels[:, None, :] + levels[None, :, :]
+    return _orbit_index(counts, place, (pairs[..., None] == np.arange(9)).sum(axis=2))
+
+
+def orbit_liouvillian(
+    h_atom: np.ndarray, rates: DecoherenceRates, n_atoms: int
+) -> np.ndarray:
+    """Master-equation generator (n_orb, n_orb) on the orbit coordinates x.
+
+    H is the sum over the atoms of the single-atom h_atom, without the
+    flips onto a second r.  Row o is d<i|rho|j>/dt at a pair (i, j) of
+    orbit o, whose counts are n:
+    - -i[H, rho]: one atom's ket level moves a -> c with weight
+      n_ab h_atom[a, c], or its bra level b -> c with n_ab h_atom[c, b];
+      a move onto a second r is dropped;
+    - a single-atom jump L = |d><s| at rate Gamma adds Gamma n_dd times the
+      element with one (d, d) atom at (s, s), and -Gamma/2 times the
+      number of atoms in s on either side;
+    - collective dephasing at rate gamma (a jump P_k onto each Dicke
+      state, sum_k P_k = P) vanishes when i and j hold the same level
+      counts, and otherwise adds -gamma times the mean of rho over the pairs
+      with the level counts c of i and m of j: sum over those orbits o' of
+      w(o') x(o'), w = prod c_a! prod m_b! / (N! prod n'_ab!).
+    """
+    counts, place = _orbits(n_atoms)
+    n_orb = len(counts)
+    rows, unit = np.arange(n_orb), np.eye(9, dtype=int)
+    gen = np.zeros((n_orb, n_orb), dtype=complex)
+
+    def add(coef, move):  # coef[o] at the column of counts[o] + move
+        col = _orbit_index(counts, place, counts + move)
+        keep = (col >= 0) & (coef != 0)
+        gen[rows[keep], col[keep]] += coef[keep]
+
+    for a, b, c in iterproduct(range(3), repeat=3):
+        n_ab = counts[:, 3 * a + b]
+        add(-1j * h_atom[a, c] * n_ab, unit[3 * c + b] - unit[3 * a + b])
+        add(1j * h_atom[c, b] * n_ab, unit[3 * a + c] - unit[3 * a + b])
+    n = counts.reshape(-1, 3, 3)
+    for rate, s, d in (
         (rates.gamma_e, LEVEL_E, LEVEL_G),  # |g><e|
         (rates.gamma_r, LEVEL_R, LEVEL_E),  # |e><r|
         (rates.gamma_d, LEVEL_R, LEVEL_R),  # |r><r|
     ):
-        if rate <= 0:
-            continue
-        atom, rows, cols = single_atom_flips(levels, src, dst)
-        per_atom = np.zeros((spec.n_atoms, dim, dim))
-        per_atom[atom, cols, rows] = 1.0
-        ops.extend((rate, op) for op in per_atom)
+        add(rate * n[:, d, d], unit[3 * s + s] - unit[3 * d + d])
+        add(-0.5 * rate * (n[:, s, :].sum(axis=1) + n[:, :, s].sum(axis=1)), 0)
     if rates.gamma_coll > 0:
-        ops.extend((rates.gamma_coll, np.outer(v, v)) for v in symmetrizer(spec).T)
-    return ops
-
-
-def liouvillian(
-    h: np.ndarray, jumps: list[tuple[float, np.ndarray]]
-) -> sparse.csr_array:
-    """Master-equation generator as a sparse superoperator on row-major vec(rho).
-
-    Row-major vec gives vec(A rho B) = (A kron B^T) vec(rho).  With
-    K = sum_k Gamma_k L_k^+ L_k and A = -iH - K/2, the master equation
-    rho' = A rho + rho A^+ + sum_k Gamma_k L_k rho L_k^+ becomes
-    vec(rho)' = (A kron I + I kron conj(A) + sum_k Gamma_k L_k kron conj(L_k))
-    vec(rho).
-    """
-    from scipy import sparse
-
-    dim = h.shape[0]
-    eye = sparse.eye_array(dim, dtype=complex, format="csr")
-    k = sparse.csr_array((dim, dim), dtype=complex)
-    gen = sparse.csr_array((dim * dim, dim * dim), dtype=complex)
-    for rate, op in jumps:
-        l = sparse.csr_array(op, dtype=complex)
-        k = k + rate * (l.conj().T @ l)
-        gen = gen + rate * sparse.kron(l, l.conj(), format="csr")
-    a = -1j * sparse.csr_array(h, dtype=complex) - 0.5 * k
-    return (
-        gen
-        + sparse.kron(a, eye, format="csr")
-        + sparse.kron(eye, a.conj(), format="csr")
-    )
+        ket, bra = n.sum(axis=2), n.sum(axis=1)
+        fact = np.array([factorial(k) for k in range(n_atoms + 1)], dtype=float)
+        w = (fact[ket].prod(axis=1) * fact[bra].prod(axis=1)
+             / (fact[-1] * fact[counts].prod(axis=1)))
+        classes = np.concatenate([ket, bra], axis=1) @ place[:6]
+        between = (classes[:, None] == classes) & (ket != bra).any(axis=1)[:, None]
+        gen -= rates.gamma_coll * between * w
+    return gen
 
 
 def check_lindblad_work(
-    h: np.ndarray, jumps: list[tuple[float, np.ndarray]], horizon: float
+    h_atom: np.ndarray, rates: DecoherenceRates, spec: EnsembleSpec, horizon: float
 ) -> None:
     """Raise CapacityError when the work T * (||H||_inf + ||K||_inf), with
-    K = sum_k Gamma_k L_k^+ L_k, exceeds LINDBLAD_MAX_WORK: the generator's
-    frequency scale times the horizon, which the integrator's steps follow."""
-    k = sum((rate * (op.conj().T @ op) for rate, op in jumps), np.zeros(h.shape))
-    work = horizon * (np.abs(h).sum(axis=1).max() + np.abs(k).sum(axis=1).max())
+    H and K = sum_k Gamma_k L_k^+ L_k over the product basis, exceeds
+    LINDBLAD_MAX_WORK: the generator's frequency scale times the horizon,
+    which the integrator's steps follow.  Both are row sums, equal on the
+    rows of one Dicke class (j, s); K is diagonal but for the projector P,
+    whose rows sum to 1."""
+    j, s = dicke_labels(spec.n_atoms)
+    levels = np.stack([spec.n_atoms - j - s, j, s], axis=1)  # atoms in g, e, r
+    onto = levels @ np.abs(h_atom - np.diag(np.diag(h_atom)))  # flips onto g, e, r
+    h_rows = (np.abs(levels @ np.diag(h_atom)) + onto[:, 0] + onto[:, 1]
+              + np.where(s == 0, onto[:, 2], 0.0))
+    k_rows = rates.gamma_e * j + (rates.gamma_r + rates.gamma_d) * s + rates.gamma_coll
+    work = horizon * (h_rows.max() + k_rows.max())
     if work > LINDBLAD_MAX_WORK:
         raise CapacityError(
             f"master-equation work T*(|H| + |K|) = {work:.3g} exceeds the cap "
@@ -258,36 +311,43 @@ def check_lindblad_work(
 
 
 def evolve_lindblad(
-    h: np.ndarray,
-    jumps: list[tuple[float, np.ndarray]],
+    h_atom: np.ndarray,
+    rates: DecoherenceRates,
+    spec: EnsembleSpec,
     rho0: np.ndarray,
     times,
 ) -> np.ndarray:
-    """Integrate the master equation; returns (T, dim, dim) density matrices.
+    """Integrate the master equation of the ensemble whose H sums the
+    single-atom h_atom over the atoms, from the product-basis rho0, which
+    must be invariant under atom exchange; returns (T, dim, dim)
+    product-basis density matrices.
 
-    Trace, Hermiticity and positivity are checked at every output time.
+    DOP853 runs on the orbit coordinates (orbit_liouvillian), and each
+    output is expanded to the product basis, where trace, Hermiticity and
+    positivity are checked at every output time.
     """
     times = np.asarray(times, dtype=float)
-    dim = h.shape[0]
-    if dim > LINDBLAD_MAX_DIM:
-        raise CapacityError(
-            f"Lindblad dimension {dim} exceeds capacity {LINDBLAD_MAX_DIM}"
-        )
-    if rho0.shape != (dim, dim):
-        raise BasisError(f"rho0 shape {rho0.shape} incompatible with H {h.shape}")
-    check_lindblad_work(h, jumps, float(times[-1]))
+    check_density_capacity(spec)
+    orbits = pair_orbits(spec)
+    if rho0.shape != orbits.shape:
+        raise BasisError(f"rho0 shape {rho0.shape} is not over the N={spec.n_atoms} "
+                         f"product basis {orbits.shape}")
+    _, first = np.unique(orbits, return_index=True)
+    x0 = rho0.ravel()[first].astype(complex)  # one element per orbit
+    if not np.array_equal(x0[orbits], rho0):
+        raise BasisError("rho0 is not invariant under atom exchange")
+    check_lindblad_work(h_atom, rates, spec, float(times[-1]))
     from scipy.integrate import solve_ivp
 
-    gen = liouvillian(h, jumps)
+    gen = orbit_liouvillian(h_atom, rates, spec.n_atoms)
 
-    def rhs(_t, y):
-        return gen @ y
+    def rhs(_t, x):
+        return gen @ x
 
-    t0, t1 = 0.0, float(times[-1])
     sol = solve_ivp(
         rhs,
-        (t0, t1),
-        rho0.astype(complex).ravel(),
+        (0.0, float(times[-1])),
+        x0,
         t_eval=times,
         method="DOP853",
         rtol=LINDBLAD_RTOL,
@@ -295,7 +355,7 @@ def evolve_lindblad(
     )
     if not sol.success:
         raise NumericalFailure(f"master-equation integration failed: {sol.message}")
-    rhos = sol.y.T.reshape(len(times), dim, dim)
+    rhos = sol.y.T[:, orbits]
     for k, rho in enumerate(rhos):
         tr = np.trace(rho).real
         if abs(tr - 1.0) > TRACE_TOL:

@@ -81,6 +81,16 @@ def build_product_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.nda
     return h
 
 
+def single_atom_hamiltonian(params: LaserParams) -> np.ndarray:
+    """3 x 3 Hamiltonian of one atom over (g, e, r).  The product-basis
+    Hamiltonian is its sum over the atoms without the flips onto a second
+    r; the master equation builds its generator from it."""
+    h = np.diag([0.0, -params.delta_p, -params.delta_p - params.delta_c])
+    h[0, 1] = h[1, 0] = params.omega_p / 2.0
+    h[1, 2] = h[2, 1] = params.omega_c / 2.0
+    return h
+
+
 def symmetric_block(h: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
     """S^T H S on the 2N+1 Dicke states (S = symmetrizer(spec)) of a
     product-basis Hamiltonian that is exactly exchange-symmetric.
@@ -113,9 +123,13 @@ def symmetric_block(h: np.ndarray, spec: EnsembleSpec) -> np.ndarray:
     return s.T @ h @ s
 
 
-def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarray:
+def build_dicke_hamiltonian(
+    params: LaserParams, spec: EnsembleSpec, positions: int | None = None
+) -> np.ndarray:
     """Lower bands (3, 2N+1) of the Hamiltonian over the 2N+1 symmetric
     Dicke states: row d holds H[i+d, i], as dynamics.propagate_pure takes it.
+    With positions, only the first min(positions, 2N+1) columns, built at a
+    cost that does not grow with N.
 
     Probe couplings are collectively enhanced:
     (Omega_p/2)*sqrt((j+1)(N-j-s)) within each s sector; the coupling
@@ -126,10 +140,13 @@ def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarr
     n = spec.n_atoms
     if n > N_MAX_DICKE:
         raise CapacityError(f"Dicke basis for N={n} exceeds limit {N_MAX_DICKE}")
-    j, s = dicke_labels(n)
-    bands = np.zeros((3, dicke_dimension(n)))
+    # A position's label and couplings do not depend on the positions after
+    # it, so the chain of excitations j < k holds every column below 2k - 1.
+    k = n if positions is None else min(n, positions // 2 + 1)
+    j, s = dicke_labels(k)
+    bands = np.zeros((3, dicke_dimension(k)))
     bands[0] = -j * params.delta_p - s * (params.delta_p + params.delta_c)
-    j0 = np.arange(n)
+    j0 = np.arange(k)
     j1 = j0[:-1]
     up = 2 * j0 + 1  # position of |E^{j+1} R^0>; |E^j R^1> is next
     probe = params.omega_p / 2.0 * np.sqrt((j0 + 1) * (n - j0))  # in s = 0
@@ -137,7 +154,7 @@ def build_dicke_hamiltonian(params: LaserParams, spec: EnsembleSpec) -> np.ndarr
     bands[1, up] = params.omega_c / 2.0 * np.sqrt(j0 + 1)
     bands[2, up[:-1]] = probe[1:]
     bands[2, up[:-1] + 1] = params.omega_p / 2.0 * np.sqrt((j1 + 1) * (n - j1 - 1))
-    return bands
+    return bands if positions is None else bands[:, :positions]
 
 
 def resonance_probe_detuning(omega_c: float, delta_c: float) -> float:
@@ -204,12 +221,12 @@ def _low_dressed_frame(
     min(7, 2N+1) Dicke positions.
 
     u is block-diagonal in n and its blocks do not depend on N, so this is
-    the leading block of the full dressed-frame Hamiltonian; H is dense on
-    those positions only.  Only the n = 1 and n = 3 states are one probe
-    step from |G> or |2+>.
+    the leading block of the full dressed-frame Hamiltonian; H is built and
+    made dense on those positions only.  Only the n = 1 and n = 3 states are
+    one probe step from |G> or |2+>.
     """
     u = dicke_to_dressed(params, EnsembleSpec(min(spec.n_atoms, 3)))
-    h = leading_block(build_dicke_hamiltonian(params, spec), len(u))
+    h = leading_block(build_dicke_hamiltonian(params, spec, len(u)), len(u))
     return u, u.T @ h @ u
 
 

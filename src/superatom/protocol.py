@@ -19,7 +19,6 @@ import numpy as np
 from .basis import (
     LEVEL_R,
     N_MAX_DICKE,
-    N_MAX_PRODUCT_DENSITY,
     BasisError,
     CapacityError,
     DickeIndex,
@@ -28,6 +27,7 @@ from .basis import (
     dicke_labels,
     dicke_position,
     product_basis,
+    product_dimension,
     symmetrizer,
 )
 from .dynamics import (
@@ -35,10 +35,10 @@ from .dynamics import (
     DecoherenceRates,
     NumericalFailure,
     Trajectory,
+    check_density_capacity,
     check_lindblad_work,
     evolve_lindblad,
     hermitian_bands,
-    lindblad_operators,
     propagate_pure,
 )
 from .hamiltonians import (
@@ -50,6 +50,7 @@ from .hamiltonians import (
     build_restricted_hamiltonian,
     resonance_probe_detuning,
     second_order_reduction,
+    single_atom_hamiltonian,
     symmetric_block,
 )
 
@@ -233,20 +234,6 @@ def _pure_model(model: str, res: ResolvedProtocol, two_plus: np.ndarray):
     return bands, np.array([ground, two_plus])
 
 
-def _check_density_capacity(spec: EnsembleSpec) -> None:
-    if spec.n_atoms > N_MAX_PRODUCT_DENSITY:
-        raise CapacityError(
-            f"product-basis density matrix for N={spec.n_atoms} exceeds "
-            f"limit {N_MAX_PRODUCT_DENSITY}"
-        )
-
-
-def _master_equation(res: ResolvedProtocol):
-    """(product-basis H, jump operators) of a master-equation run."""
-    return (build_product_hamiltonian(res.params, res.spec),
-            lindblad_operators(res.rates, res.spec))
-
-
 def run_protocol(
     cfg: ProtocolConfig | ResolvedProtocol, model: str = "dicke", n_times: int = 201
 ) -> ProtocolResult:
@@ -255,7 +242,7 @@ def run_protocol(
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; choose from {MODELS}")
     if model == "lindblad":
-        _check_density_capacity(cfg.spec)
+        check_density_capacity(cfg.spec)
     res = cfg if isinstance(cfg, ResolvedProtocol) else resolve_protocol(cfg)
     spec = res.spec
     times = np.linspace(0.0, res.pulse_time, n_times)[1:]
@@ -263,10 +250,11 @@ def run_protocol(
     two_plus[:5] = res.two_plus
 
     if model == "lindblad":
-        h, jumps = _master_equation(res)
-        rho0 = np.zeros(h.shape, dtype=complex)
+        dim = product_dimension(spec.n_atoms)
+        rho0 = np.zeros((dim, dim))
         rho0[0, 0] = 1.0  # |G>
-        rhos = evolve_lindblad(h, jumps, rho0, times)
+        rhos = evolve_lindblad(single_atom_hamiltonian(res.params), res.rates, spec,
+                               rho0, times)
         traj = _density_readout(times, spec, rhos, two_plus)
     else:
         bands, columns = _pure_model(model, res, two_plus)
@@ -500,9 +488,10 @@ def scan_decoherence(cfg: ProtocolConfig, which: str, grid) -> ScanResult:
     if which not in ("gamma_e", "gamma_r", "gamma_d"):
         raise ValueError(f"unknown decoherence channel {which!r}")
     res = resolve_protocol(cfg)  # the rates do not enter the resolution
-    _check_density_capacity(res.spec)
-    top = replace(res, rates=DecoherenceRates(**{which: float(np.max(grid))}))
-    check_lindblad_work(*_master_equation(top), top.pulse_time)
+    check_density_capacity(res.spec)
+    check_lindblad_work(single_atom_hamiltonian(res.params),
+                        DecoherenceRates(**{which: float(np.max(grid))}), res.spec,
+                        res.pulse_time)
     pts = [replace(res, rates=DecoherenceRates(**{which: float(g)})) for g in grid]
     rows = [_scan_row(g, c, "lindblad") for g, c in zip(grid, pts)]
     for r in rows:

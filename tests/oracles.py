@@ -5,6 +5,8 @@ from itertools import product as iterproduct
 from math import comb, isfinite, sin, sqrt
 
 import numpy as np
+from scipy import sparse
+from scipy.integrate import solve_ivp
 from scipy.linalg import eig_banded
 
 from superatom.basis import (
@@ -15,8 +17,17 @@ from superatom.basis import (
     DickeIndex,
     EnsembleSpec,
     dicke_labels,
+    product_basis,
+    single_atom_flips,
 )
-from superatom.dynamics import leading_block, propagate_pure
+from superatom.basis import symmetrizer as basis_symmetrizer
+from superatom.dynamics import (
+    LINDBLAD_ATOL,
+    LINDBLAD_RTOL,
+    leading_block,
+    pair_orbits,
+    propagate_pure,
+)
 from superatom.hamiltonians import LaserParams, build_dicke_hamiltonian
 
 
@@ -201,6 +212,83 @@ def jump_operators(rates, spec):
             v = S[:, col]
             ops.append((rates.gamma_coll, np.outer(v, v)))
     return ops
+
+
+# The product-basis master equation that the orbit coordinates replaced.
+
+
+def lindblad_operators(rates, spec):
+    """Jump operators as (rate, matrix) pairs in the product basis.
+
+    Single-atom channels (gamma_e, gamma_r, gamma_d) act on one atom each
+    and break the exchange symmetry; collective dephasing projects onto
+    each symmetric Dicke state.
+    """
+    levels = product_basis(spec)
+    dim = len(levels)
+    ops = []
+    for rate, src, dst in (
+        (rates.gamma_e, LEVEL_E, LEVEL_G),  # |g><e|
+        (rates.gamma_r, LEVEL_R, LEVEL_E),  # |e><r|
+        (rates.gamma_d, LEVEL_R, LEVEL_R),  # |r><r|
+    ):
+        if rate <= 0:
+            continue
+        atom, rows, cols = single_atom_flips(levels, src, dst)
+        per_atom = np.zeros((spec.n_atoms, dim, dim))
+        per_atom[atom, cols, rows] = 1.0
+        ops.extend((rate, op) for op in per_atom)
+    if rates.gamma_coll > 0:
+        ops.extend((rates.gamma_coll, np.outer(v, v))
+                   for v in basis_symmetrizer(spec).T)
+    return ops
+
+
+def liouvillian(h, jumps):
+    """Master-equation generator as a sparse superoperator on row-major vec(rho).
+
+    Row-major vec gives vec(A rho B) = (A kron B^T) vec(rho).  With
+    K = sum_k Gamma_k L_k^+ L_k and A = -iH - K/2, the master equation
+    rho' = A rho + rho A^+ + sum_k Gamma_k L_k rho L_k^+ becomes
+    vec(rho)' = (A kron I + I kron conj(A) + sum_k Gamma_k L_k kron conj(L_k))
+    vec(rho).
+    """
+    dim = h.shape[0]
+    eye = sparse.eye_array(dim, dtype=complex, format="csr")
+    k = sparse.csr_array((dim, dim), dtype=complex)
+    gen = sparse.csr_array((dim * dim, dim * dim), dtype=complex)
+    for rate, op in jumps:
+        l = sparse.csr_array(op, dtype=complex)
+        k = k + rate * (l.conj().T @ l)
+        gen = gen + rate * sparse.kron(l, l.conj(), format="csr")
+    a = -1j * sparse.csr_array(h, dtype=complex) - 0.5 * k
+    return (
+        gen
+        + sparse.kron(a, eye, format="csr")
+        + sparse.kron(eye, a.conj(), format="csr")
+    )
+
+
+def projected_liouvillian(h, jumps, spec):
+    """liouvillian(h, jumps)[reps] @ C: its rows at one product pair per
+    orbit, summed over the pairs of each orbit, in pair_orbits' order."""
+    orbits = pair_orbits(spec).ravel()
+    _, reps = np.unique(orbits, return_index=True)
+    c = sparse.csr_array((np.ones(len(orbits)), (np.arange(len(orbits)), orbits)))
+    return (liouvillian(h, jumps)[reps] @ c).toarray()
+
+
+def product_lindblad(h, jumps, rho0, times):
+    """(T, dim, dim) product-basis density matrices by DOP853 on the whole
+    vectorized rho, at the package's tolerances: the propagation that the
+    orbit coordinates replaced."""
+    dim = h.shape[0]
+    gen = liouvillian(h, jumps)
+    sol = solve_ivp(lambda _t, y: gen @ y, (0.0, float(times[-1])),
+                    rho0.astype(complex).ravel(), t_eval=times, method="DOP853",
+                    rtol=LINDBLAD_RTOL, atol=LINDBLAD_ATOL)
+    assert sol.success, sol.message
+    return sol.y.T.reshape(len(times), dim, dim)
 
 
 def _csv_cell(x) -> str:

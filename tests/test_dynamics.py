@@ -1,4 +1,6 @@
 import tracemalloc
+from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -7,7 +9,15 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import superatom.dynamics
-from oracles import ProductBasis, jump_operators, whole_chain_states
+from oracles import (
+    ProductBasis,
+    jump_operators,
+    lindblad_operators,
+    liouvillian,
+    product_lindblad,
+    projected_liouvillian,
+    whole_chain_states,
+)
 from superatom.basis import (
     LEVEL_R,
     BasisError,
@@ -16,6 +26,7 @@ from superatom.basis import (
     EnsembleSpec,
     dicke_labels,
     dicke_position,
+    permuted_rows,
     product_basis,
     product_dimension,
     symmetrizer,
@@ -29,8 +40,8 @@ from superatom.dynamics import (
     evolve_lindblad,
     hermitian_bands,
     leading_block,
-    lindblad_operators,
-    liouvillian,
+    orbit_liouvillian,
+    pair_orbits,
     propagate_pure,
 )
 from superatom.hamiltonians import (
@@ -38,6 +49,7 @@ from superatom.hamiltonians import (
     LaserParams,
     build_dicke_hamiltonian,
     build_product_hamiltonian,
+    single_atom_hamiltonian,
 )
 from superatom.protocol import (
     AUTO_DELTA_P,
@@ -449,6 +461,44 @@ class TestLiouvillian:
         self._check(h, jumps, seed=11)
 
 
+class TestOrbitLiouvillian:
+    """The generator on the orbit coordinates against the product-basis
+    Liouvillian's rows at one pair per orbit, summed over each orbit."""
+
+    @pytest.mark.parametrize("rates", [
+        DecoherenceRates(),
+        DecoherenceRates(gamma_e=0.6),
+        DecoherenceRates(gamma_r=0.3),
+        DecoherenceRates(gamma_d=0.2),
+        DecoherenceRates(gamma_coll=0.4),
+        DecoherenceRates(gamma_e=0.6, gamma_r=0.3, gamma_d=0.2, gamma_coll=0.4),
+    ], ids=["coherent", "gamma_e", "gamma_r", "gamma_d", "gamma_coll", "all"])
+    @pytest.mark.parametrize("n_atoms", range(1, 5))
+    def test_matches_projected_product_liouvillian(self, n_atoms, rates):
+        spec = EnsembleSpec(n_atoms)
+        params = LaserParams(1.5, 4.0, 0.7, -2.0)
+        want = projected_liouvillian(build_product_hamiltonian(params, spec),
+                                     lindblad_operators(rates, spec), spec)
+        got = orbit_liouvillian(single_atom_hamiltonian(params), rates, n_atoms)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("n_atoms,n_orbits", [(1, 9), (2, 34), (3, 86), (4, 175)])
+    def test_pair_orbits_are_the_permutation_orbits(self, n_atoms, n_orbits):
+        """Every atom permutation maps each pair into its own orbit, and
+        there are C(N+3,3) + 5 C(N+2,3) + 4 C(N+1,3) orbits, each holding a
+        pair: so the orbits are exactly the classes of pairs that atom
+        permutations relate."""
+        spec = EnsembleSpec(n_atoms)
+        levels = product_basis(spec)
+        orbits = pair_orbits(spec)
+        assert np.array_equal(np.unique(orbits), np.arange(n_orbits))
+        assert n_orbits == (comb(n_atoms + 3, 3) + 5 * comb(n_atoms + 2, 3)
+                            + 4 * comb(n_atoms + 1, 3))
+        for perm in permutations(range(n_atoms)):
+            moved = permuted_rows(levels, np.array(perm))
+            assert np.array_equal(orbits[np.ix_(moved, moved)], orbits)
+
+
 class TestLindbladEvolution:
     def _pure_rho(self, spec):
         pb = ProductBasis(spec)
@@ -462,7 +512,8 @@ class TestLindbladEvolution:
         h = build_product_hamiltonian(params, spec)
         psi0, rho0 = self._pure_rho(spec)
         times = np.linspace(0.05, 1.0, 12)
-        rhos = evolve_lindblad(h, [], rho0, times)
+        rhos = evolve_lindblad(single_atom_hamiltonian(params), DecoherenceRates(),
+                               spec, rho0, times)
         states = propagate_pure(hermitian_bands(h), psi0, times)
         pops_pure = np.abs(states) ** 2
         pops_me = np.einsum("tii->ti", rhos).real
@@ -473,22 +524,18 @@ class TestLindbladEvolution:
         spec = EnsembleSpec(1)
         pb = ProductBasis(spec)
         gamma = 1.7
-        jumps = lindblad_operators(DecoherenceRates(gamma_e=gamma), spec)
-        h = np.zeros((pb.dim, pb.dim))
         rho0 = np.zeros((pb.dim, pb.dim), dtype=complex)
         rho0[pb.index[(1,)], pb.index[(1,)]] = 1.0
         times = np.linspace(0.1, 2.0, 14)
-        rhos = evolve_lindblad(h, jumps, rho0, times)
+        rhos = evolve_lindblad(np.zeros((3, 3)), DecoherenceRates(gamma_e=gamma),
+                               spec, rho0, times)
         p_e = rhos[:, pb.index[(1,)], pb.index[(1,)]].real
         assert np.max(np.abs(p_e - np.exp(-gamma * times))) < 1e-8
 
     def test_generator_linearity(self):
         spec = EnsembleSpec(2)
-        params = LaserParams(1.0, 10.0, 0.5, -5.0)
-        h = build_product_hamiltonian(params, spec)
-        jumps = lindblad_operators(
-            DecoherenceRates(gamma_e=0.3, gamma_r=0.1), spec
-        )
+        h_atom = single_atom_hamiltonian(LaserParams(1.0, 10.0, 0.5, -5.0))
+        rates = DecoherenceRates(gamma_e=0.3, gamma_r=0.1)
         pb = ProductBasis(spec)
         rho1 = np.zeros((pb.dim, pb.dim), dtype=complex)
         rho1[0, 0] = 1.0
@@ -497,59 +544,95 @@ class TestLindbladEvolution:
         rho2[k, k] = 1.0
         a = 0.3
         times = np.linspace(0.1, 0.6, 5)
-        mixed = evolve_lindblad(h, jumps, a * rho1 + (1 - a) * rho2, times)
-        sep = a * evolve_lindblad(h, jumps, rho1, times) + (1 - a) * evolve_lindblad(
-            h, jumps, rho2, times
-        )
+
+        def evolve(rho0):
+            return evolve_lindblad(h_atom, rates, spec, rho0, times)
+
+        mixed = evolve(a * rho1 + (1 - a) * rho2)
+        sep = a * evolve(rho1) + (1 - a) * evolve(rho2)
         assert np.max(np.abs(mixed - sep)) < 1e-8
 
     def test_trace_and_positivity_invariants(self):
         spec = EnsembleSpec(3)
         params = LaserParams(1.5, 20.0, 2.0, -10.0)
-        h = build_product_hamiltonian(params, spec)
-        jumps = lindblad_operators(
-            DecoherenceRates(gamma_e=0.2, gamma_d=0.05), spec
-        )
         _, rho0 = self._pure_rho(spec)
         times = np.linspace(0.2, 1.0, 5)
-        rhos = evolve_lindblad(h, jumps, rho0, times)  # raises on violation
+        rhos = evolve_lindblad(single_atom_hamiltonian(params),
+                               DecoherenceRates(gamma_e=0.2, gamma_d=0.05), spec,
+                               rho0, times)  # raises on violation
         traces = np.einsum("tii->t", rhos).real
         assert np.max(np.abs(traces - 1)) < 1e-7
         assert np.linalg.eigvalsh(rhos[-1]).min() > -1e-6
 
+    @pytest.mark.parametrize("n_atoms,omega_c_mhz,gamma_e_mhz", [
+        (3, 100.0, 0.001), (4, 20.0, 0.00115)], ids=["criterion-6", "rabi-n4"])
+    def test_matches_product_basis_dop853(self, n_atoms, omega_c_mhz, gamma_e_mhz):
+        """At the benchmark's master-equation points (the criterion-6 scan
+        point at N = 3 and the N = 4 rabi run, both at gamma_e = 2pi x their
+        largest rate), the pulse-end success and infidelity are within
+        2e-7 of DOP853 on the whole product-basis rho at the same
+        tolerances."""
+        omega_c = TWO_PI * omega_c_mhz
+        res = resolve_protocol(ProtocolConfig(
+            spec=EnsembleSpec(n_atoms),
+            params=LaserParams(0.0, omega_c, AUTO_DELTA_P, -omega_c / 2),
+            rates=DecoherenceRates(gamma_e=TWO_PI * gamma_e_mhz),
+            effective_rabi_target=TWO_PI * 0.1,
+        ))
+        spec, times = res.spec, [res.pulse_time]
+        _, rho0 = self._pure_rho(spec)
+        two_plus = np.zeros(2 * n_atoms + 1)
+        two_plus[:5] = res.two_plus
+        got = evolve_lindblad(single_atom_hamiltonian(res.params), res.rates, spec,
+                              rho0, times)
+        want = product_lindblad(build_product_hamiltonian(res.params, spec),
+                                lindblad_operators(res.rates, spec), rho0, times)
+        for key in ("p_ryd", "infidelity"):
+            a, b = (_density_readout(times, spec, r, two_plus).populations[key]
+                    for r in (got, want))
+            assert abs(a[0] - b[0]) < 2e-7, key
+
     def test_capacity_guard(self):
-        dim = 200
-        with pytest.raises(CapacityError):
-            evolve_lindblad(
-                np.zeros((dim, dim)),
-                [],
-                np.eye(dim, dtype=complex) / dim,
-                [1.0],
-            )
+        """N = 6 has a product basis (416 states), but no master equation."""
+        dim = product_dimension(6)
+        with pytest.raises(CapacityError, match="N=6 exceeds limit 4"):
+            evolve_lindblad(np.zeros((3, 3)), DecoherenceRates(), EnsembleSpec(6),
+                            np.eye(dim, dtype=complex) / dim, [1.0])
 
     def test_capacity_is_the_density_limit(self):
-        """The master equation runs only in the product basis, up to N = 4:
-        the N = 5 product dimension (112) is refused."""
+        """The master equation's states are product-basis density matrices,
+        up to N = 4: N = 5 is refused."""
         dim = product_dimension(5)
         with pytest.raises(CapacityError):
-            evolve_lindblad(
-                np.zeros((dim, dim)), [], np.eye(dim, dtype=complex) / dim, [1.0]
-            )
+            evolve_lindblad(np.zeros((3, 3)), DecoherenceRates(), EnsembleSpec(5),
+                            np.eye(dim, dtype=complex) / dim, [1.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(BasisError):
-            evolve_lindblad(np.zeros((4, 4)), [], np.eye(3, dtype=complex) / 3, [1.0])
+            evolve_lindblad(np.zeros((3, 3)), DecoherenceRates(), EnsembleSpec(2),
+                            np.eye(3, dtype=complex) / 3, [1.0])
+
+    def test_rho0_must_be_exchange_invariant(self):
+        """|ge><ge| is not invariant under atom exchange, so it has no orbit
+        coordinates."""
+        spec = EnsembleSpec(2)
+        pb = ProductBasis(spec)
+        rho0 = np.zeros((pb.dim, pb.dim))
+        rho0[pb.index[(0, 1)], pb.index[(0, 1)]] = 1.0
+        with pytest.raises(BasisError, match="invariant"):
+            evolve_lindblad(np.zeros((3, 3)), DecoherenceRates(), spec, rho0, [1.0])
 
     @staticmethod
-    def _work_case(spec, horizon, gamma):
-        h = build_product_hamiltonian(LaserParams(20.0, 600.0, 10.0, -300.0), spec)
-        jumps = lindblad_operators(DecoherenceRates(gamma_e=gamma), spec)
+    def _work_case(spec, horizon, rates):
+        params = LaserParams(20.0, 600.0, 10.0, -300.0)
+        h = build_product_hamiltonian(params, spec)
+        jumps = lindblad_operators(rates, spec)
         rho0 = np.zeros(h.shape, dtype=complex)
         rho0[0, 0] = 1.0
-        # ||H||_inf + ||K||_inf of this case, summed by hand
+        # ||H||_inf + ||K||_inf of this case, summed by hand over the product basis
         k = sum((rate * op.T @ op for rate, op in jumps), np.zeros(h.shape))
         scale = np.abs(h).sum(axis=1).max() + np.abs(k).sum(axis=1).max()
-        return h, jumps, rho0, horizon * scale
+        return single_atom_hamiltonian(params), rho0, horizon * scale
 
     @pytest.mark.parametrize("gamma", [0.0, 50.0])
     def test_work_cap_refused_before_integrating(self, monkeypatch, gamma):
@@ -561,9 +644,36 @@ class TestLindbladEvolution:
             raise AssertionError("DOP853 was started")
 
         monkeypatch.setattr(scipy.integrate, "solve_ivp", refuse)
-        h, jumps, rho0, scale = self._work_case(EnsembleSpec(2), 1.0, gamma)
+        spec, rates = EnsembleSpec(2), DecoherenceRates(gamma_e=gamma)
+        h_atom, rho0, scale = self._work_case(spec, 1.0, rates)
         with pytest.raises(CapacityError, match="master-equation work"):
-            evolve_lindblad(h, jumps, rho0, [1.001 * LINDBLAD_MAX_WORK / scale])
+            evolve_lindblad(h_atom, rates, spec, rho0,
+                            [1.001 * LINDBLAD_MAX_WORK / scale])
+
+    @pytest.mark.parametrize("n_atoms", range(1, 5))
+    def test_work_is_the_product_basis_row_sum(self, monkeypatch, n_atoms):
+        """With every channel on, a horizon just under LINDBLAD_MAX_WORK /
+        scale reaches the integrator and one just over it is refused: the
+        work is ||H||_inf + ||K||_inf of the product-basis matrices."""
+        import scipy.integrate
+
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", started)
+        spec = EnsembleSpec(n_atoms)
+        rates = DecoherenceRates(gamma_e=50.0, gamma_r=30.0, gamma_d=20.0,
+                                 gamma_coll=10.0)
+        h_atom, rho0, scale = self._work_case(spec, 1.0, rates)
+        with pytest.raises(Started):
+            evolve_lindblad(h_atom, rates, spec, rho0,
+                            [(1 - 1e-9) * LINDBLAD_MAX_WORK / scale])
+        with pytest.raises(CapacityError, match="master-equation work"):
+            evolve_lindblad(h_atom, rates, spec, rho0,
+                            [(1 + 1e-9) * LINDBLAD_MAX_WORK / scale])
 
     @pytest.mark.parametrize("horizon,gamma", [(1.0, 0.0), (4.0, 0.0), (1.0, 500.0),
                                                (0.1, 1e4)])
@@ -582,8 +692,9 @@ class TestLindbladEvolution:
             return sol
 
         monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
-        h, jumps, rho0, work = self._work_case(EnsembleSpec(3), horizon, gamma)
-        evolve_lindblad(h, jumps, rho0, [horizon])
+        spec, rates = EnsembleSpec(3), DecoherenceRates(gamma_e=gamma)
+        h_atom, rho0, work = self._work_case(spec, horizon, rates)
+        evolve_lindblad(h_atom, rates, spec, rho0, [horizon])
         assert 1.0 <= nfev[0] / work <= 27.0
 
 

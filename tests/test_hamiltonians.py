@@ -505,6 +505,37 @@ class TestDickeCorner:
             reference_build_dicke_hamiltonian(params, spec)[:m, :m],
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 2000])
+    def test_positions_are_the_leading_columns(self, n):
+        """The bands built up to a number of positions are the whole chain's
+        leading columns, bit for bit."""
+        params = LaserParams(1.3, 7.9, 0.6, -2.7)
+        spec = EnsembleSpec(n)
+        full = build_dicke_hamiltonian(params, spec)
+        for m in range(2 * n + 4) if n < 50 else (0, 1, 6, 7, 8, 35, 4000, 4001):
+            assert np.array_equal(build_dicke_hamiltonian(params, spec, m),
+                                  full[:, :m])
+
+    def test_reduction_memory_does_not_grow_with_n(self):
+        """second_order_reduction builds only the n <= 3 corner of the
+        chain, so it peaks no higher at N = 2000 than at N = 160 (the first
+        calls, outside the trace, settle the interpreter's own caches)."""
+        omega_c = 90.0
+        dp = resonance_probe_detuning(omega_c, -omega_c / 2)
+        params = LaserParams(1.5, omega_c, dp, -omega_c / 2)
+        ns = (160, N_MAX_DICKE)
+        for n in ns * 3:
+            second_order_reduction(params, EnsembleSpec(n))
+        peaks = []
+        for n in ns:
+            tracemalloc.start()
+            try:
+                second_order_reduction(params, EnsembleSpec(n))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
+
     @pytest.mark.parametrize(
         "reduce", [second_order_reduction, build_restricted_hamiltonian]
     )
