@@ -7,7 +7,9 @@
 # every master-equation channel runs: configs/rabi_n4.cfg under each of the
 # five models and under lindblad with every decay rate above 0,
 # poisson_n100.cfg and scan_delta_c_n3.cfg under restricted6 and
-# effective2, and lindblad_gamma_e_n3.cfg on channels gamma_r and gamma_d.
+# effective2, lindblad_gamma_e_n3.cfg on channels gamma_r and gamma_d, and
+# ion_escape_default.cfg from the centre, with escape after a 5 ns ramp,
+# with close collisions, with a horizon before escape and with no field.
 # The two result directories are then compared, ignoring the timestamp in
 # summary.json.
 # Prints nothing (exit 0) when every CSV is byte-identical and every
@@ -66,6 +68,14 @@ for channel in ("gamma_r", "gamma_d"):
 variant("rabi_n4", "rabi", "lindblad_all_rates",
         "model = lindblad\ngamma_e_mhz = 0.01\ngamma_r_mhz = 0.002\n"
         "gamma_d_mhz = 0.005\ngamma_coll_mhz = 0.003\n")
+for suffix, append, swap in (
+        ("center", "ion_start = center\n", ("", "")),
+        ("ramp5", "", ("ramp_time_ns = 300", "ramp_time_ns = 5")),
+        ("collisions", "softening_radius_um = 0.2\n", ("", "")),
+        ("horizon20", "max_time_ns = 20\n", ("", "")),
+        ("no_field", "", ("ramp_field_max_v_per_m = 1e5",
+                          "ramp_field_max_v_per_m = 0"))):
+    variant("ion_escape_default", "ion-mc", suffix, append, swap)
 EOF
 
 outputs() { # tree results_dir

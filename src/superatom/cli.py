@@ -190,7 +190,6 @@ def _run_ion_mc(rc):
         },
         {
             "escape_time_ns": result.escape_time,
-            "escape_time_std_ns": result.escape_time_std,
             "fraction_significant": result.fraction_significant,
             "phase_threshold_rad": cfg.phase_threshold,
             "external_field_phase_rad": result.external_field_phase,

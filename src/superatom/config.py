@@ -53,7 +53,9 @@ MAX_SOFTENING_RADIUS_UM = 1e6  # 1 m
 MAX_TRAP_DIAMETER_UM = 1e6  # 1 m
 # Nine decades above Sr's 4.1e-39; at 1e300 every spectator phase overflows.
 MAX_POLARIZABILITY_SI = 1e-30  # C m^2 / V
-# A 1 mm cube; at 1e60 (positions near 1e14 m) the ion's step rounds away.
+# A 1 mm cube.  The flight is stepped relative to each ion's start, so it is
+# the same at any volume; from about 1e250 (distances near 1e77 m) the
+# Coulomb rate's r^4 overflows, with a RuntimeWarning.
 MAX_TRAP_VOLUME_UM3 = 1e9
 # Positive lower bounds where a smaller value underflows.  lindblad-scan fits
 # a line to its rate grid with np.polyfit, which scales each column by its

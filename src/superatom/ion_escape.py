@@ -4,12 +4,14 @@ After photoionization the ion is extracted by a linearly ramped electric
 field.  While it crosses the cloud, its Coulomb field Stark-shifts the
 remaining atoms and imprints a phase on each g-e coherence,
 phi_i = (d_alpha / 2 hbar) * Integral E_ion(r_i(t))^2 dt.
-We integrate the ion's Newtonian motion with velocity-Verlet, accumulate
-the per-spectator phases, and report the fraction of atoms whose phase
-exceeds a configurable threshold.  Spectators are neutral and frozen on
-the ~25 ns escape timescale; the photoelectron leaves far faster than the
-ion and its integrated Stark exposure is bounded by the ion's, so it is
-not simulated.
+The field points along z and depends on time alone, and the ion starts at
+rest, so wherever it starts it flies the same displacement s(t) along z.
+We integrate s once with velocity-Verlet; each trajectory is a random
+start point and spectator cloud, whose phases accumulate along that path.
+We report the fraction of atoms whose phase exceeds a configurable
+threshold.  Spectators are neutral and frozen on the ~25 ns escape
+timescale; the photoelectron leaves far faster than the ion and its
+integrated Stark exposure is bounded by the ion's, so it is not simulated.
 
 Internally SI units (m, s, V/m); the config speaks ns / um.
 """
@@ -32,11 +34,11 @@ SR_CLOCK_DIFF_POLARIZABILITY = 4.078e-39  # C m^2 / V
 NO_ESCAPE = float("inf")
 
 # Cap on the velocity-Verlet steps over the horizon, max_time / time_step.
-# A step costs about 21 us for one trajectory of 100 atoms and 76 us for 100
-# such trajectories (median of 3 runs of 2e4 steps with no ramp field, so no
-# ion escapes; one BLAS thread, 2-core x86-64, numpy 2.4), so a run at the
-# cap that no ion escapes takes about 21 s and 76 s; the default horizon is
-# 3e4 steps.
+# A step costs about 15 us for one trajectory of 100 atoms and 60 us for 100
+# such trajectories (median over five rounds of the median of 3 runs of
+# 2e4 steps with no ramp field, so no ion escapes; one BLAS thread, 2-core
+# x86-64, numpy 2.4), so a run at the cap that no ion escapes takes about
+# 15 s and 60 s; the default horizon is 3e4 steps.
 ION_MAX_STEPS = 10**6
 
 MAX_TIME_STEP_NS = 0.1  # largest velocity-Verlet step
@@ -92,12 +94,11 @@ class EscapeResult:
     """Aggregate of the escape kinematics and spectator phase statistics."""
 
     escape_time: float  # ns (inf when the ion never exits within the horizon)
-    escape_time_std: float  # ns, spread over trajectories
     per_atom_phases: np.ndarray  # rad, (n_trajectories * (n_atoms-1),)
     fraction_significant: float
     external_field_phase: float  # rad, ramp field alone, at escape (nan if none)
     n_close_collisions: int
-    energy_balance_error: float  # relative |KE - work| at exit, worst case
+    energy_balance_error: float  # relative |KE - work| at exit
 
     def threshold_curve(self, thresholds) -> np.ndarray:
         """fraction_significant as a function of the phase threshold."""
@@ -154,8 +155,8 @@ def _field_at(t: float, cfg: IonEscapeConfig) -> float:
     return cfg.ramp_field_max * t / tau
 
 
-def _initial_state(cfg: IonEscapeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Spectator clouds (T, A, 3) and ion start points (T, 3), in m.
+def _initial_state(cfg: IonEscapeConfig) -> np.ndarray:
+    """Spectator clouds (T, A, 3) relative to their ion's start point, in m.
 
     Trajectory i draws from its own counter-based stream
     default_rng([rng_seed, i]): spectators first, then the start point, so
@@ -164,121 +165,75 @@ def _initial_state(cfg: IonEscapeConfig) -> tuple[np.ndarray, np.ndarray]:
     side = cfg.trap_volume ** (1.0 / 3.0) * 1e-6  # m, cubic sampling volume
     n_traj, n_spec = cfg.n_trajectories, cfg.n_atoms - 1
     spectators = np.empty((n_traj, n_spec, 3))
-    start = np.zeros((n_traj, 3))
     for i in range(n_traj):
         rng = np.random.default_rng([cfg.rng_seed, i])
         spectators[i] = rng.uniform(-side / 2, side / 2, size=(n_spec, 3))
         if cfg.ion_start == "uniform":
-            start[i] = rng.uniform(-side / 2, side / 2, size=3)
-    return spectators, start
+            spectators[i] -= rng.uniform(-side / 2, side / 2, size=3)
+    return spectators
 
 
 def simulate_escape(cfg: IonEscapeConfig) -> EscapeResult:
-    """Run the Monte Carlo with every trajectory stepped in lock-step.
+    """Run the Monte Carlo along the one path every ion flies.
 
-    The ion feels only the ramp field, a function of t alone, so all
-    trajectories share t, the step sequence and the acceleration; only the
-    start point and the spectator cloud differ.  The field points along z
-    and every ion starts at rest, so the x and y update is p + 0*dt +
-    0.5*0*dt**2 = p: each ion's x and y stay fixed bit for bit, and all
-    live ions share one velocity and one acceleration.  Only z is stepped,
-    and each spectator's squared lateral distance dx^2 + dy^2 is computed
-    once; adding dz^2 to it sums in the order the 3-D distance did, so the
-    results are those of 3-D stepping bit for bit.  A transverse force
-    (none is modelled) would have to bring back 3-D stepping.
-
-    The live arrays hold the trajectories that have not escaped yet; each
-    one is frozen and dropped at the step it escapes.  Results are
-    deterministic for a given seed and trajectory i is the same whatever
-    n_trajectories is.
+    The ramp field points along z and depends on t alone, and every ion
+    starts at rest, so every ion flies start + s(t) along z with the same
+    displacement s(t).  Velocity-Verlet steps s, its velocity and the
+    field's work once for all trajectories; the trajectories differ only in
+    their spectators' positions relative to the ion's start, and each
+    spectator's squared distance is its lateral part plus (rel_z - s)^2.
+    The flight ends at the step where |s| reaches the trap diameter, or at
+    the horizon.  A transverse force (none is modelled) would give each
+    trajectory its own path.  Results are deterministic for a given seed
+    and trajectory i is the same whatever n_trajectories is.
     """
-    spectators, start = _initial_state(cfg)
-    n_traj, n_spec = cfg.n_trajectories, cfg.n_atoms - 1
-    lateral2 = (spectators[:, :, 0] - start[:, 0, None]) ** 2 + (
-        spectators[:, :, 1] - start[:, 1, None]
-    ) ** 2
-    spec_z = np.ascontiguousarray(spectators[:, :, 2])
-    z0 = start[:, 2].copy()
-    z = z0.copy()
+    rel = _initial_state(cfg)
+    lateral2 = rel[..., 0] ** 2 + rel[..., 1] ** 2
+    rel_z = rel[..., 2].copy()
 
     m = cfg.ion_mass * AMU
     dt = cfg.time_step * 1e-9
     d_escape = cfg.trap_diameter * 1e-6
-    r_soft = cfg.softening_radius * 1e-6
+    r_soft2 = (cfg.softening_radius * 1e-6) ** 2
     phase_pref = cfg.differential_polarizability / (2.0 * HBAR)
     e_sq_pref = (K_COULOMB * E_CHARGE) ** 2  # E_ion^2 = (kq)^2 / r^4
+    phases = np.zeros_like(lateral2)
+    collided = np.zeros(lateral2.shape, dtype=bool)
 
-    # final per-trajectory values, filled in as trajectories escape
-    times = np.full(n_traj, NO_ESCAPE)
-    phases = np.zeros((n_traj, n_spec))
-    collided = np.zeros((n_traj, n_spec), dtype=bool)
-    end_vel = np.zeros(n_traj)
-    work = np.zeros(n_traj)
+    def coulomb_rate(s):
+        d2 = lateral2 + (rel_z - s) ** 2
+        collided[d2 < r_soft2] = True
+        return e_sq_pref / np.maximum(d2, r_soft2) ** 2
 
-    # live state: row k is trajectory live[k]; vel is shared by all of them
-    live = np.arange(n_traj)
-    vel = 0.0
-    live_work = np.zeros(n_traj)
-    live_phases = np.zeros((n_traj, n_spec))
-    live_collided = np.zeros((n_traj, n_spec), dtype=bool)
-
-    def coulomb_rate(z):
-        d2 = lateral2 + (spec_z - z[:, None]) ** 2
-        live_collided[d2 < r_soft**2] = True
-        return e_sq_pref / np.maximum(d2, r_soft**2) ** 2
-
-    def freeze(rows):
-        idx = live[rows]
-        phases[idx] = live_phases[rows]
-        collided[idx] = live_collided[rows]
-        end_vel[idx] = vel
-        work[idx] = live_work[rows]
-
-    t = 0.0
-    rate = coulomb_rate(z)
+    t = s = vel = work = 0.0
+    escape_time, field_phase = NO_ESCAPE, np.nan
+    rate = coulomb_rate(s)
     accel = E_CHARGE * _field_at(t, cfg) / m
     horizon = cfg.horizon * 1e-9
-    while t < horizon and live.size:
-        new_z = z + vel * dt + 0.5 * accel * dt**2
+    while t < horizon:
+        new_s = s + vel * dt + 0.5 * accel * dt**2
         new_accel = E_CHARGE * _field_at(t + dt, cfg) / m
         vel = vel + 0.5 * (accel + new_accel) * dt
-        live_work += E_CHARGE * 0.5 * (
+        work += E_CHARGE * 0.5 * (
             _field_at(t, cfg) + _field_at(t + dt, cfg)
-        ) * (new_z - z)
-        new_rate = coulomb_rate(new_z)
-        live_phases += phase_pref * 0.5 * (rate + new_rate) * dt
-        z, accel, rate = new_z, new_accel, new_rate
+        ) * (new_s - s)
+        new_rate = coulomb_rate(new_s)
+        phases += phase_pref * 0.5 * (rate + new_rate) * dt
+        s, accel, rate = new_s, new_accel, new_rate
         t += dt
-        # the 3-D norm sqrt(0 + 0 + dz^2) is |dz| unless dz^2 underflows
-        escaped = np.abs(z - z0) >= d_escape
-        if escaped.any():
-            times[live[escaped]] = t * 1e9
-            freeze(escaped)
-            keep = ~escaped
-            live, z, z0, rate = live[keep], z[keep], z0[keep], rate[keep]
-            lateral2, spec_z = lateral2[keep], spec_z[keep]
-            live_work, live_phases = live_work[keep], live_phases[keep]
-            live_collided = live_collided[keep]
-    freeze(slice(None))  # trajectories still inside at the horizon
+        if abs(s) >= d_escape:
+            escape_time = t * 1e9
+            field_phase = ramp_field_phase(cfg, escape_time)
+            break
 
-    kinetic = 0.5 * m * (end_vel * end_vel)
-    energy_err = np.zeros(n_traj)
-    worked = work > 0
-    energy_err[worked] = np.abs(kinetic[worked] - work[worked]) / work[worked]
+    kinetic = 0.5 * m * (vel * vel)
     phases[collided] = np.inf  # close collisions count as significant
     per_atom = phases.ravel()
-    finite = times[np.isfinite(times)]
-    if finite.size == 0:
-        esc, esc_std, field_phase = NO_ESCAPE, 0.0, np.nan
-    else:
-        esc, esc_std = float(finite.mean()), float(finite.std())
-        field_phase = ramp_field_phase(cfg, esc)
     return EscapeResult(
-        escape_time=esc,
-        escape_time_std=esc_std,
+        escape_time=escape_time,
         per_atom_phases=per_atom,
         fraction_significant=float(np.mean(per_atom > cfg.phase_threshold)),
         external_field_phase=field_phase,
         n_close_collisions=int(collided.sum()),
-        energy_balance_error=float(energy_err.max()),
+        energy_balance_error=abs(kinetic - work) / work if work > 0 else 0.0,
     )

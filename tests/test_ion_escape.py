@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superatom.config import MAX_TRAP_VOLUME_UM3
 from superatom.ion_escape import (
     AMU,
     E_CHARGE,
@@ -64,6 +67,18 @@ class TestKinematics:
         assert t > cfg.ramp_time
         res = simulate_escape(cfg)
         assert res.escape_time == pytest.approx(t, rel=0.02)
+
+    def test_flight_does_not_depend_on_the_cloud_size(self):
+        """The path is stepped relative to the ion's start, so the escape
+        and its energy balance are those of a 1 um^3 cloud at the largest
+        volume the config admits."""
+        small, large = (
+            simulate_escape(IonEscapeConfig(n_trajectories=4, n_atoms=10,
+                                            trap_volume=v))
+            for v in (1.0, MAX_TRAP_VOLUME_UM3)
+        )
+        assert large.escape_time == small.escape_time
+        assert large.energy_balance_error == small.energy_balance_error
 
 
 class TestRampFieldPhase:
@@ -188,42 +203,77 @@ def _reference_trajectory(cfg: IonEscapeConfig, index: int):
     return escape_t, phases, int(collided.sum()), err
 
 
+# Configs the one-path flight is checked on against the reference.
+REFERENCE_CASES = [
+    {},
+    {"rng_seed": 7},
+    {"ramp_time": 5.0},  # escape after the ramp, at full field
+    {"softening_radius": 0.2},  # close collisions
+    {"max_time": 20.0},  # horizon before escape
+    # the benchmark's shape: 99 spectators per trajectory
+    {"n_atoms": 100, "rng_seed": 5, "n_trajectories": 24},
+    {"ramp_field_max": 0.0, "max_time": 5.0},  # no field, no escape
+]
+# An escape distance on a step boundary: from a uniform start the
+# reference's rounding of z0 + s puts its escapes on two different steps.
+STEP_BOUNDARY_DIAMETER = 0.0627520132884533
+# At a uniform start the reference steps the absolute z0 + s and measures
+# distances from absolute coordinates, up to half the cloud's side away, so
+# its rounding differs from the one path's (relative to the start).  A
+# phase moves by a few ulp of the largest coordinate over the closest
+# distance, times the r^-4 of the rate: at most 5.6e-14 relative on the
+# benchmark's 16 seeds.  The work moves by at most an ulp a step, about
+# 255 eps over the flight, and the energy error |KE - W| / W by as much
+# absolutely.
+PHASE_RTOL = 1e-12
+ENERGY_ATOL = 1e-13
+
+
+def _references(cfg):
+    return [_reference_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
+
+
 class TestLockStepMatchesReference:
-    """Stepping all trajectories together changes no arithmetic."""
+    """The one shared path against each trajectory flown on its own in 3-D."""
 
     @pytest.mark.parametrize(
-        "kw",
-        [
-            {},
-            {"ion_start": "center", "rng_seed": 7},
-            {"ramp_time": 5.0},  # escape after the ramp, at full field
-            {"softening_radius": 0.2},  # close collisions
-            {"max_time": 20.0},  # horizon before escape
-            # an escape distance on a step boundary: trajectories escape at
-            # two different steps, so some freeze while others run on
-            {"trap_diameter": 0.0627520132884533},
-            # the benchmark's shape: 99 spectators per trajectory
-            {"n_atoms": 100, "rng_seed": 5, "n_trajectories": 24},
-            {"ramp_field_max": 0.0, "max_time": 5.0},  # no field, no escape
-        ],
-    )
+        "kw", REFERENCE_CASES + [{"trap_diameter": STEP_BOUNDARY_DIAMETER}])
     def test_bit_identical(self, kw):
-        cfg = IonEscapeConfig(**{"n_trajectories": 12, "n_atoms": 20, **kw})
-        refs = [_reference_trajectory(cfg, i) for i in range(cfg.n_trajectories)]
-        times = np.array([r[0] for r in refs])
+        """From the centre every ion starts at the origin, so the
+        reference's position is (0, 0, s) and its arithmetic is the one
+        path's: every result agrees bit for bit."""
+        cfg = IonEscapeConfig(**{"n_trajectories": 12, "n_atoms": 20, **kw,
+                                 "ion_start": "center"})
+        refs = _references(cfg)
         res = simulate_escape(cfg)
+        assert {r[0] for r in refs} == {res.escape_time}
         assert np.array_equal(res.per_atom_phases, np.concatenate([r[1] for r in refs]))
-        finite = times[np.isfinite(times)]
-        assert res.escape_time == (finite.mean() if finite.size else NO_ESCAPE)
-        assert res.escape_time_std == (finite.std() if finite.size else 0.0)
         assert res.n_close_collisions == sum(r[2] for r in refs)
-        assert res.energy_balance_error == max(r[3] for r in refs)
+        assert {r[3] for r in refs} == {res.energy_balance_error}
 
-    def test_step_boundary_case_staggers_escapes(self):
+    @pytest.mark.parametrize("kw", REFERENCE_CASES)
+    def test_uniform_start_within_rounding(self, kw):
+        cfg = IonEscapeConfig(**{"n_trajectories": 12, "n_atoms": 20, **kw})
+        refs = _references(cfg)
+        res = simulate_escape(cfg)
+        assert {r[0] for r in refs} == {res.escape_time}
+        assert res.n_close_collisions == sum(r[2] for r in refs)
+        want = np.concatenate([r[1] for r in refs])
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(res.per_atom_phases), finite)
+        np.testing.assert_allclose(res.per_atom_phases[finite], want[finite],
+                                   rtol=PHASE_RTOL, atol=0)
+        for r in refs:
+            assert abs(res.energy_balance_error - r[3]) <= ENERGY_ATOL
+
+    def test_step_boundary_case_escapes_at_one_step(self):
+        """The reference's uniform-start ions escape at two steps; the one
+        path escapes at one, the centre-start reference's."""
         cfg = IonEscapeConfig(n_trajectories=12, n_atoms=20,
-                              trap_diameter=0.0627520132884533)
-        times = {_reference_trajectory(cfg, i)[0] for i in range(12)}
-        assert len(times) == 2
+                              trap_diameter=STEP_BOUNDARY_DIAMETER)
+        assert len({r[0] for r in _references(cfg)}) == 2
+        centre = _reference_trajectory(replace(cfg, ion_start="center"), 0)[0]
+        assert simulate_escape(cfg).escape_time == centre
 
 
 class TestValidation:
